@@ -6,8 +6,9 @@ rank br(g) - 1.  This script walks through the Newton-polygon machinery
 on progressively harder germs.
 """
 
-from kminusone import branch_count, branch_count_factored, is_isolated, \
-    newton_polygon, order_at_origin, parse_polynomial
+from kminusone import ExtensionUnsupported, branch_count, \
+    branch_count_factored, is_isolated, newton_polygon, order_at_origin, \
+    parse_polynomial
 
 
 def show(text):
@@ -48,12 +49,13 @@ print()
 print("Beyond one extension the tool refuses rather than guesses;")
 print("factored input keeps it total:")
 g = parse_polynomial("(z^7 - 2*w^7)^2 + z^3*w^12")
-print(f"  is_isolated: {is_isolated(g)}, "
-      f"ord = {order_at_origin(g)}")
-try:
-    branch_count(g)
-except Exception as exc:  # noqa: BLE001 - demo output
-    print(f"  branch_count raises: {type(exc).__name__}")
+print(f"  ord = {order_at_origin(g)}")
+# isolatedness is decided by the same local recursion, so it refuses too
+for check in (is_isolated, branch_count):
+    try:
+        check(g)
+    except ExtensionUnsupported as exc:
+        print(f"  {check.__name__} raises {type(exc).__name__}: {exc}")
 rep = branch_count_factored([parse_polynomial("z^7 - 2*w^7"),
                              parse_polynomial("w")])
 print(f"  branch_count_factored([z^7 - 2w^7, w]) = {rep.branch_count}")

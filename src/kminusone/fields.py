@@ -221,6 +221,8 @@ def rational_roots(p: UniPoly):
         ints = ints[k:]
     if len(ints) == 1:
         return roots
+    if len(ints) == 2:
+        return roots + [Fraction(-ints[0], ints[1])]
     a0, an = ints[0], ints[-1]
     seen = set()
     for num in _divisors(a0):

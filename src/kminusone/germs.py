@@ -9,12 +9,20 @@ extra.  Only a *multiple* root forces a coordinate shift: rational roots
 shift over Q, irrational ones adjoin a single certified extension
 Q[t]/(m); anything beyond that raises ExtensionUnsupported and the
 factored-input fallback keeps the computation possible.
+
+Isolatedness is local and comes from the same recursion: a factor
+repeated through the origin surfaces as monomial content with exponent
+at least 2 once its strict transform is a chart axis (Casas-Alvero,
+Singularities of Plane Curves, ch. 1-3).  Only germs the recursion
+follows two shifts deep pay for the exact gcd test, which also catches
+repeated factors whose expansion never ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 
 from .errors import (
@@ -28,7 +36,18 @@ from .errors import (
 from .exact import BiPoly, UniPoly, squarefree_decomposition, uni_gcd
 from .fields import NumberField, irreducible_factors
 
+# Stated resource limit: the Newton recursion goes at most this many
+# coordinate shifts deep.  Each level but the last sits at a distinct
+# singular infinitely near point and adds at least 1 to the delta
+# invariant, which is at most d(d-1)/2 for a germ of total degree d reduced
+# at the origin; so only such germs of degree above 32 can reach the limit.
 _MAX_DEPTH = 500
+
+# A germ whose recursion reaches this depth has its reducedness at the
+# origin confirmed by the exact global test before the recursion goes on.
+# A repeated factor with an infinite expansion would otherwise be followed
+# forever, its chart germs growing at every level.
+_CONFIRM_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -73,11 +92,40 @@ def order_at_origin(g: BiPoly) -> int:
 
 
 def is_isolated(g: BiPoly) -> bool:
-    """True iff g vanishes at the origin, is nonconstant, and is squarefree,
-    i.e. xy + g(z, w) = 0 has an isolated singular point."""
+    """True iff g is nonzero, vanishes at the origin, and is reduced there:
+    no factor of g through the origin is repeated.  Equivalently the
+    singular point of xy + g(z, w) = 0 at the origin is isolated.
+
+    This is a local property: a repeated factor away from the origin does
+    not matter (use is_squarefree for the global question).  The Newton
+    recursion at the origin decides it, with the exact test of
+    _reduced_at_origin for germs it follows _CONFIRM_DEPTH shifts deep.
+    Raises ExtensionUnsupported when the recursion cannot decide without
+    an unsupported field extension.
+    """
     if g.is_zero() or not g.vanishes_at_origin():
         return False
-    return is_squarefree(g)
+    return _local_branch_total(g) is not None
+
+
+@lru_cache(maxsize=1)
+def _local_branch_total(g: BiPoly):
+    """Branch number of g at the origin, or None when g is not reduced
+    there.  Remembers the last germ, so is_isolated and branch_count
+    share one recursion."""
+    try:
+        return _branch_total(g.terms, None, 0, g)
+    except NotIsolated:
+        return None
+
+
+@lru_cache(maxsize=1)
+def _reduced_at_origin(g: BiPoly) -> bool:
+    """Exact test that no repeated factor of g vanishes at the origin:
+    gcd(g, g_z, g_w) is the product of h^(e-1) over the factors h^e of g.
+    A Q-irreducible h through the rational point 0 has all its conjugate
+    components through it, so the test is geometric."""
+    return not _repeated_part(g).vanishes_at_origin()
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +229,11 @@ def is_squarefree(g: BiPoly) -> bool:
         return False
     if g.total_degree() == 0:
         return True
-    d = bipoly_gcd(g, g.derivative_z())
-    d = bipoly_gcd(d, g.derivative_w())
-    return d.total_degree() == 0
+    return _repeated_part(g).total_degree() == 0
+
+
+def _repeated_part(g: BiPoly) -> BiPoly:
+    return bipoly_gcd(bipoly_gcd(g, g.derivative_z()), g.derivative_w())
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +403,25 @@ def _roots_of_multiple_factor(fac: UniPoly, field):
         "re-run with --factors supplying the irreducible factors")
 
 
-def _branch_total(terms, field, depth: int) -> int:
+def _branch_total(terms, field, depth: int, germ: BiPoly) -> int:
+    """Branches at the current point of the chart germ with support
+    ``terms``, reached ``depth`` shifts below the origin germ ``germ``;
+    raises NotIsolated when ``germ`` is not reduced at the origin.
+
+    A repeated factor through the origin shows up as monomial content
+    with exponent >= 2 once its strict transform is a chart axis.  One
+    whose expansion never ends is caught at _CONFIRM_DEPTH instead.
+    """
+    if depth == _CONFIRM_DEPTH and not _reduced_at_origin(germ):
+        raise NotIsolated("germ has a repeated factor through the origin")
     if depth > _MAX_DEPTH:
-        raise KMinusOneError("branch recursion exceeded the depth bound; "
-                             "this should not happen for squarefree germs")
+        raise KMinusOneError(
+            f"branch recursion exceeded its stated limit of {_MAX_DEPTH} "
+            "levels; germs reduced at the origin reach it only above "
+            "total degree 32")
     alpha, beta, terms = _strip_monomial_content(terms)
     if alpha > 1 or beta > 1:
-        raise NotIsolated("germ has a repeated factor")
+        raise NotIsolated("germ has a repeated factor through the origin")
     count = alpha + beta
     if (0, 0) in terms:
         return count
@@ -372,47 +434,53 @@ def _branch_total(terms, field, depth: int) -> int:
             for gamma, copies, gfield in _roots_of_multiple_factor(fac, field):
                 sub = terms if gfield is field else _lift_terms(terms, gfield)
                 shifted = _recursion_germ(sub, edge, gamma)
-                count += copies * _branch_total(shifted, gfield, depth + 1)
+                count += copies * _branch_total(shifted, gfield, depth + 1,
+                                                germ)
     return count
 
 
 def branch_count(g: BiPoly) -> BranchReport:
-    """Branch number of the isolated germ g at the origin, together with
-    the order and the compound-A index of xy + g(z, w)."""
+    """Branch number br_0 of g at the origin, together with the order and
+    the compound-A index of xy + g(z, w).
+
+    g must be isolated in the local sense of is_isolated: vanishing at
+    the origin and reduced there.  Factors of g that miss the origin,
+    repeated or not, are units of the local ring and contribute nothing.
+    """
     if g.is_zero():
         raise ZeroPolynomial("branch count of the zero polynomial")
     if not is_isolated(g):
         raise NotIsolated(
-            "branch counting requires an isolated germ: nonconstant, "
-            "vanishing at the origin, with no multiple factors")
+            "branch counting requires an isolated germ: vanishing at the "
+            "origin, with no repeated factor through the origin")
     order = g.order()
-    total = _branch_total(g.terms, None, 0)
-    return BranchReport(order=order, cAn_index=order - 1, branch_count=total,
-                        isolated=True)
+    return BranchReport(order=order, cAn_index=order - 1,
+                        branch_count=_local_branch_total(g), isolated=True)
 
 
 def branch_count_factored(factors) -> BranchReport:
-    """Branch number of a product of pairwise coprime isolated germs;
-    fallback input mode for germs whose recursion would need an
-    unsupported field extension."""
+    """Branch number of a product of isolated germs with no common factor
+    through the origin; fallback input mode for germs whose recursion
+    would need an unsupported field extension.  A common factor that
+    misses the origin is a unit there and is allowed."""
     factors = list(factors)
     if not factors:
         raise ZeroPolynomial("empty factor list")
+    reports = []
     for i, f in enumerate(factors):
         if f.is_zero():
             raise ZeroPolynomial(f"factor {i + 1} is zero")
         if not is_isolated(f):
             raise NotIsolated(f"factor {i + 1} is not an isolated germ")
+        # right after is_isolated, so the memoised recursion is reused
+        reports.append(branch_count(f))
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
-            if bipoly_gcd(factors[i], factors[j]).total_degree() > 0:
+            if bipoly_gcd(factors[i], factors[j]).vanishes_at_origin():
                 raise CommonFactor(
-                    f"factors {i + 1} and {j + 1} share a nonunit common factor")
-    order = 0
-    total = 0
-    for f in factors:
-        rep = branch_count(f)
-        order += rep.order
-        total += rep.branch_count
+                    f"factors {i + 1} and {j + 1} share a common factor "
+                    "through the origin")
+    order = sum(rep.order for rep in reports)
+    total = sum(rep.branch_count for rep in reports)
     return BranchReport(order=order, cAn_index=order - 1, branch_count=total,
                         isolated=True)

@@ -7,7 +7,8 @@ Grammar:
     base   := 'z' | 'w' | rational | '(' expr ')'
 
 Rational literals are integers or 'p/q'; there is no division operator.
-Errors carry 1-based line and column positions.
+Errors carry 1-based line and column positions.  Parentheses nest at most
+MAX_NESTING deep; deeper input is a syntax error, not a stack overflow.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from fractions import Fraction
 
 from .errors import PolySyntaxError
 from .exact import BiPoly
+
+# Stated resource limit on parenthesis depth.  Each level costs four
+# frames of the recursive descent, so this stays well inside Python's
+# default recursion limit wherever the parser is called from.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -149,8 +156,14 @@ class _Parser:
             self.advance()
             return BiPoly.constant(tok.value)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise PolySyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}",
+                    tok.line, tok.column)
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         raise PolySyntaxError(

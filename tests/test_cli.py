@@ -41,6 +41,12 @@ class TestGermCommands:
         assert code == 1
         assert "error" in err
 
+    def test_deep_nesting_exit_one(self, capsys):
+        code, out, err = run(capsys, "branches", "(" * 3000 + "z" + ")" * 3000)
+        assert code == 1
+        assert out == ""
+        assert "nested deeper" in err and "Traceback" not in err
+
     def test_extension_unsupported_exit_two(self, capsys):
         code, _, err = run(capsys, "branches", "(z^7 - 2*w^7)^2 + z^3*w^12")
         assert code == 2

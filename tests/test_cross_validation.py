@@ -3,7 +3,8 @@
 sympy is not a dependency of the package; when it happens to be
 installed, these tests compare the exact core against an independent
 implementation: Smith invariant factors, bivariate gcds, squarefree
-detection, and branch counts on binomial products with known answers.
+detection, local reducedness at the origin, and branch counts on
+binomial products with known answers.
 """
 
 import random
@@ -79,6 +80,37 @@ def test_squarefree_matches_sympy_factorization():
         _, factors = sympy.factor_list(Poly(to_sympy(g), Z, W).as_expr())
         assert is_squarefree(g) == all(e == 1 for _, e in factors)
         checked += 1
+
+
+LOW_MONOMIALS = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def rand_low_factor(rng, through_origin):
+    """A random factor of total degree <= 2, through the origin or not."""
+    terms = {m: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+             for m in rng.sample(LOW_MONOMIALS, rng.randint(1, 3))}
+    if not through_origin:
+        terms[(0, 0)] = Fraction(rng.choice([-2, -1, 1, 2]))
+    return BiPoly(terms)
+
+
+def test_local_reducedness_matches_sympy_factorization():
+    # is_isolated is local: every factor through the origin is simple;
+    # repeated factors elsewhere do not matter.  Factors of degree <= 2
+    # keep every edge polynomial within the supported extensions, so no
+    # germ may raise ExtensionUnsupported.
+    rng = random.Random(2718)
+    isolated = 0
+    for _ in range(300):
+        g = BiPoly.constant(Fraction(1))
+        for k in range(rng.randint(1, 3)):
+            f = rand_low_factor(rng, k == 0 or rng.random() < 0.5)
+            g = g * f * f if rng.random() < 0.25 else g * f
+        _, factors = Poly(to_sympy(g), Z, W).factor_list()
+        locally_reduced = all(e == 1 for f, e in factors if f.eval({Z: 0, W: 0}) == 0)
+        assert is_isolated(g) == locally_reduced, g.terms
+        isolated += locally_reduced
+    assert 100 < isolated < 200  # both answers are well represented
 
 
 def test_branch_counts_on_binomial_products():

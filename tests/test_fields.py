@@ -57,6 +57,12 @@ class TestRationalRoots:
     def test_no_roots(self):
         assert rational_roots(U(1, 0, 1)) == []
 
+    def test_linear_root_is_read_off(self):
+        # large prime coefficients: no divisor enumeration is needed
+        p, q = 2**61 - 1, 2**89 - 1
+        assert rational_roots(U(p, q)) == [Fraction(-p, q)]
+        assert rational_roots(U(0, p, q)) == [Fraction(0), Fraction(-p, q)]
+
 
 class TestIrreducibleFactors:
     def test_linear_factors(self):

@@ -13,6 +13,7 @@ from math import gcd
 
 import pytest
 
+from kminusone import germs
 from kminusone.errors import (
     CommonFactor,
     ExtensionUnsupported,
@@ -46,6 +47,15 @@ class TestOrder:
             order_at_origin(BiPoly.zero())
 
 
+# germs that are not squarefree globally but reduced at the origin, with
+# their branch numbers there
+LOCAL_GERMS = {
+    "z*w*(z-1)^2": 2,
+    "z*w*(1+z+w)^2": 2,
+    "(z^2-w^3)*(w-1)^2": 1,
+}
+
+
 class TestIsIsolated:
     def test_basic(self):
         assert is_isolated(poly("z^2 + w^2"))
@@ -57,6 +67,28 @@ class TestIsIsolated:
         assert is_isolated(poly("z*w"))
         assert is_isolated(poly("w*(z^2 + w^2)"))
         assert not is_isolated(poly("w^2*(z + w)"))
+
+    def test_local_not_global(self):
+        # repeated factors that miss the origin are units there
+        for text in LOCAL_GERMS:
+            assert is_isolated(poly(text)), text
+            assert not is_squarefree(poly(text)), text
+        # a repeated factor through the origin still fails
+        assert not is_isolated(poly("z^2*(w - 1)"))
+        assert not is_isolated(poly("(z - w^2)^2*(z + w)"))
+
+    def test_repeated_factor_with_infinite_expansion(self):
+        # w = z^2 - z^4 + ... never becomes a chart axis, so the recursion
+        # alone would follow it forever; the exact check at depth 2 stops it
+        assert not is_isolated(poly("(w + w^2 - z^2)^2"))
+        assert not is_isolated(poly("z*(w + w^2 - z^2)^2*(w - 1)^2"))
+        g = poly("(w + w^2 - z^2)*(w + w^2 - z^2 - z^5)")
+        assert is_isolated(g)
+        assert branch_count(g).branch_count == 2
+
+    def test_undecidable_germ_propagates(self):
+        with pytest.raises(ExtensionUnsupported):
+            is_isolated(poly("(z^7 - 2*w^7)^2 + z^3*w^12"))
 
     def test_is_squarefree_catches_mixed_squares(self):
         assert not is_squarefree(poly("(z - w)^2 * (z + w)"))
@@ -191,6 +223,34 @@ class TestBranchCount:
         with pytest.raises(NotIsolated):
             branch_count(poly("z + 1"))
 
+    def test_local_answers(self):
+        for text, branches in LOCAL_GERMS.items():
+            assert branch_count(poly(text)).branch_count == branches, text
+
+    def test_one_recursion_per_call(self, monkeypatch):
+        calls = []
+        recurse = germs._branch_total
+
+        def counting(terms, field, depth, germ):
+            if depth == 0:
+                calls.append(terms)
+            return recurse(terms, field, depth, germ)
+
+        monkeypatch.setattr(germs, "_branch_total", counting)
+        germs._local_branch_total.cache_clear()
+        for text in ("z^2*w + w^3", "(z - w^2)*(z - w^2 - w^3)", "z*w*(z-1)^2"):
+            calls.clear()
+            branch_count(poly(text))
+            assert len(calls) == 1, text
+        # the memo holds the last germ only
+        calls.clear()
+        branch_count(poly("z^2*w + w^3"))
+        assert len(calls) == 1
+        # the factored path counts each factor once too
+        calls.clear()
+        branch_count_factored([poly("z - w"), poly("z + w"), poly("w")])
+        assert len(calls) == 3
+
     def test_cAn_index_is_order_minus_one(self):
         for text in ("z*w", "z^2 + w^5", "z^2*w + w^3", "z^3 + z*w^3"):
             rep = branch_count(poly(text))
@@ -261,6 +321,10 @@ class TestFactoredInput:
     def test_common_factor_rejected(self):
         with pytest.raises(CommonFactor):
             branch_count_factored([poly("z*w"), poly("w*(z + w)")])
+
+    def test_common_factor_away_from_origin_allowed(self):
+        rep = branch_count_factored([poly("z*(w - 1)"), poly("w*(w - 1)")])
+        assert rep.branch_count == 2
 
     def test_non_isolated_factor_rejected(self):
         with pytest.raises(NotIsolated):

@@ -7,7 +7,7 @@ import pytest
 
 from kminusone.errors import PolySyntaxError
 from kminusone.exact import BiPoly
-from kminusone.parsing import parse_polynomial, render_polynomial
+from kminusone.parsing import MAX_NESTING, parse_polynomial, render_polynomial
 
 
 class TestParse:
@@ -75,6 +75,15 @@ class TestSyntaxErrors:
         with pytest.raises(PolySyntaxError) as info:
             parse_polynomial("z +\n w +")
         assert info.value.line == 2
+
+    def test_nesting_limit(self):
+        depth = MAX_NESTING
+        assert parse_polynomial("(" * depth + "z" + ")" * depth) == BiPoly.var_z()
+        with pytest.raises(PolySyntaxError) as info:
+            parse_polynomial("(" * (depth + 1) + "z" + ")" * (depth + 1))
+        assert info.value.column == depth + 1
+        with pytest.raises(PolySyntaxError):
+            parse_polynomial("(" * 3000 + "z" + ")" * 3000)
 
 
 class TestRoundTrip:
