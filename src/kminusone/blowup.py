@@ -10,21 +10,14 @@ threefold hypersurface point x_n x_{n+1} + f per center singularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import DualGraph, betti1, curve_k_minus_one, is_forest_of_lines
-from .errors import InputError
+from .errors import InputError, SpecValidationError
 from .exact import BiPoly, FinAbGroup
 from .localsing import classify_cAn
-from .verdicts import (
-    Certificate,
-    CertificateKind,
-    Decision,
-    Verdict,
-    decide,
-    smooth_verdict,
-)
+from .verdicts import Verdict, decide
 
 
 def blowup_k_theory(base: FinAbGroup, center: FinAbGroup, codim: int) -> FinAbGroup:
@@ -51,16 +44,40 @@ def node_germ() -> BiPoly:
 class BlowupStep:
     """One blow-up along a nodal curve inside the current (smooth ambient)
     threefold.  center_germs optionally refines the plane germs at the
-    singular points of the center; by default every node of the dual
-    graph contributes the germ z*w."""
+    singular points of the center: one two-branch germ per node, that is
+    per edge of the dual graph, in edge order.  By default every node
+    contributes the germ z*w."""
 
     center: DualGraph
     center_germs: tuple = ()
+    acquired: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        germs = tuple(self.center_germs)
+        object.__setattr__(self, "center_germs", germs)
+        # the graph and the germs describe the same nodes, so they must agree
+        if germs and len(germs) != self.center.edge_count:
+            raise SpecValidationError(
+                "center_germs", f"expected one germ per node of the center "
+                f"({self.center.edge_count}), got {len(germs)}")
+        acquired = tuple(classify_cAn(g) for g in germs)
+        for j, sing in enumerate(acquired):
+            if sing.br != 2:
+                raise SpecValidationError(
+                    f"center_germs[{j}]", f"a node of the center has 2 branches, "
+                    f"this germ has {sing.br}")
+        object.__setattr__(self, "acquired", acquired)
 
     def germs(self):
         if self.center_germs:
             return list(self.center_germs)
         return [node_germ() for _ in self.center.edges]
+
+    def singularities(self):
+        """The points the blow-up acquires, one per node of the center."""
+        if self.center_germs:
+            return list(self.acquired)
+        return blowup_singularities([node_germ()]) * self.center.edge_count
 
 
 @dataclass(frozen=True)
@@ -82,10 +99,7 @@ class BlowupPipeline:
         return total
 
     def singularities(self):
-        out = []
-        for step in self.steps:
-            out.extend(blowup_singularities(step.germs()))
-        return out
+        return [s for step in self.steps for s in step.singularities()]
 
 
 def blowup_curve_verdict(curve: DualGraph) -> Verdict:
@@ -97,16 +111,8 @@ def blowup_curve_verdict(curve: DualGraph) -> Verdict:
         raise InputError(
             "blowup_curve_verdict requires all center components rational; "
             "use decide() on a pipeline for the general soundness-only check")
-    lam = betti1(curve)
-    if lam > 0:
-        return Verdict(Decision.NO, obstruction=FinAbGroup.free(lam),
-                       k_minus_one=FinAbGroup.free(lam))
-    if not is_forest_of_lines(curve):
+    if betti1(curve) == 0 and not is_forest_of_lines(curve):
         raise InputError(
             "contradictory flags: a loop-free nodal curve with rational "
             "components has smooth P^1 components")
-    center = decide(curve)
-    cert = Certificate(CertificateKind.BLOWUP_OF_YES_PAIR,
-                       parts=(smooth_verdict(), center))
-    return Verdict(Decision.YES, certificate=cert,
-                   k_minus_one=FinAbGroup.trivial())
+    return decide(BlowupPipeline((BlowupStep(curve),)))

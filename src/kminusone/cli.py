@@ -1,11 +1,15 @@
-"""Command-line interface: expression and spec-document parsing, report
-emitters, and the subcommands
+"""Command-line interface: spec-document parsing, report rendering, and
+the subcommands
 
     branches classify curve quiver threefold surface blowup decide snf table
 
-Exit codes: 0 success, 1 input error, 2 unsupported computation
-(a branch count that would need an uncertifiable field extension).
-Reports go to stdout as text, or as stable-key-ordered JSON with --json.
+Spec documents are read by a few shared field readers, which reject bad
+input with its field path.  Every result type has one renderer, which
+builds the report's JSON data; the text report is formatted from that
+data, and only when text is asked for.  Exit codes: 0 success, 1 input
+error (also for JSON that cannot be read or is nested too deeply), 2
+unsupported computation (a branch count that would need an uncertifiable
+field extension).
 """
 
 from __future__ import annotations
@@ -13,195 +17,169 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .blowup import BlowupPipeline, BlowupStep
 from .curves import CurveSpec, DualGraph, GeneralCurvePiece, betti1, \
     curve_k_minus_one, is_tree_of_lines
 from .errors import ExtensionUnsupported, InputError, KMinusOneError, \
     SpecValidationError
-from .exact import BiPoly, FinAbGroup, IntMatrix, cokernel, smith_normal_form
+from .exact import FinAbGroup, IntMatrix, cokernel, smith_normal_form
 from .germs import BranchReport, branch_count, branch_count_factored
 from .localsing import LocalSingularity, ade_germ, ade_labels, ade_lookup, \
-    classify_cAn, from_branch_number
+    classify_cAn, from_branch_number, from_branch_report
 from .parsing import parse_polynomial, render_polynomial
 from .quiver import AlgebraBasis, QuiverWithRelations, algebra_basis, burban_quiver
-from .varieties import EnoughWeil, GlobalReport, SurfaceResolutionSpec, \
-    VarietySpec, del_pezzo_table, surface_k_minus_one, threefold_invariants
+from .varieties import GlobalReport, SurfaceResolutionSpec, VarietySpec, \
+    del_pezzo_table, surface_k_minus_one, threefold_invariants
 from .verdicts import Verdict, decide
 
 
 # ---------------------------------------------------------------------------
-# spec documents
+# spec documents: a few field readers, one sequence of reads per kind
 # ---------------------------------------------------------------------------
 
-def _check_keys(doc: dict, path: str, allowed, required):
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _object(doc, path: str, allowed, required):
+    """Reject doc unless it is an object whose keys are among allowed and
+    include all of required."""
     if not isinstance(doc, dict):
         raise SpecValidationError(path, "expected an object")
     for key in doc:
         if key not in allowed:
-            raise SpecValidationError(f"{path}.{key}" if path else key,
-                                      "unknown field")
+            raise SpecValidationError(_at(path, key), "unknown field")
     for key in required:
         if key not in doc:
-            raise SpecValidationError(f"{path}.{key}" if path else key,
-                                      "required field missing")
+            raise SpecValidationError(_at(path, key), "required field missing")
 
 
-def _nat(doc, key, path, minimum=0):
+def _nat(doc, key: str, path: str = "", minimum: int = 0) -> int:
     v = doc[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise SpecValidationError(f"{path}.{key}" if path else key,
-                                  f"expected an integer >= {minimum}")
+    if not _is_int(v) or v < minimum:
+        raise SpecValidationError(_at(path, key), f"expected an integer >= {minimum}")
     return v
 
 
-def _parse_graph(doc, path) -> DualGraph:
-    _check_keys(doc, path, {"vertices", "edges", "rational", "smooth_p1"},
-                {"vertices"})
-    vertices = _nat(doc, "vertices", path, minimum=0)
-    edges = doc.get("edges", [])
-    if not isinstance(edges, list):
-        raise SpecValidationError(f"{path}.edges", "expected a list of pairs")
-    pairs = []
+def _list(doc, key: str, path: str, expected: str, ok=None, nonempty=False) -> list:
+    """The list under key, empty when absent, whose items all pass ok."""
+    v = doc.get(key, [])
+    if not isinstance(v, list) or (nonempty and not v) \
+            or (ok is not None and not all(map(ok, v))):
+        raise SpecValidationError(_at(path, key), f"expected {expected}")
+    return v
+
+
+def _label(doc) -> str:
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise SpecValidationError("label", "expected a string")
+    return label
+
+
+def _parse_graph(doc, path: str) -> DualGraph:
+    _object(doc, path, ("vertices", "edges", "rational", "smooth_p1"), ("vertices",))
+    vertices = _nat(doc, "vertices", path)
+    edges = _list(doc, "edges", path, "a list of pairs")
     for i, e in enumerate(edges):
-        if (not isinstance(e, list)) or len(e) != 2 \
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in e):
+        if not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e)):
             raise SpecValidationError(f"{path}.edges[{i}]",
                                       "expected a pair of vertex indices")
-        pairs.append((e[0], e[1]))
-    flags = {}
-    for name in ("rational", "smooth_p1"):
-        if name in doc:
-            val = doc[name]
-            if not isinstance(val, list) or not all(isinstance(x, bool) for x in val):
-                raise SpecValidationError(f"{path}.{name}",
-                                          "expected a list of booleans")
-            flags[name] = tuple(val)
+    flags = [tuple(_list(doc, name, path, "a list of booleans", lambda x: isinstance(x, bool)))
+             for name in ("rational", "smooth_p1")]
     try:
-        return DualGraph(vertices, tuple(pairs),
-                         flags.get("rational", ()), flags.get("smooth_p1", ()))
+        return DualGraph(vertices, tuple(map(tuple, edges)), *flags)
     except ValueError as exc:
         raise SpecValidationError(path, str(exc)) from exc
 
 
-def _parse_matrix(rows, path) -> IntMatrix:
+def _parse_matrix(rows) -> IntMatrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise SpecValidationError(path, "expected an array of arrays of integers")
+        raise SpecValidationError("matrix", "expected an array of arrays of integers")
     for i, r in enumerate(rows):
         for j, x in enumerate(r):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise SpecValidationError(f"{path}[{i}][{j}]", "expected an integer")
+            if not _is_int(x):
+                raise SpecValidationError(f"matrix[{i}][{j}]", "expected an integer")
     if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise SpecValidationError(path, "ragged matrix rows")
-    try:
-        return IntMatrix.from_rows(rows) if rows else IntMatrix(0, 0, ())
-    except ValueError as exc:
-        raise SpecValidationError(path, str(exc)) from exc
+        raise SpecValidationError("matrix", "ragged matrix rows")
+    return IntMatrix.from_rows(rows)
 
 
 def parse_curve_document(doc) -> CurveSpec:
-    _check_keys(doc, "", {"kind", "graph", "components"}, {"kind"})
+    _object(doc, "", ("kind", "graph", "components"), ("kind",))
     if ("graph" in doc) == ("components" in doc):
         raise SpecValidationError("", "give exactly one of 'graph', 'components'")
     if "graph" in doc:
         return CurveSpec(graph=_parse_graph(doc["graph"], "graph"))
-    comps = doc["components"]
-    if not isinstance(comps, list) or not comps:
-        raise SpecValidationError("components", "expected a nonempty list")
     pieces = []
-    for i, c in enumerate(comps):
+    for i, c in enumerate(_list(doc, "components", "", "a nonempty list", nonempty=True)):
         path = f"components[{i}]"
-        _check_keys(c, path, {"irreducible_components", "branch_numbers"},
-                    {"irreducible_components"})
-        n = _nat(c, "irreducible_components", path, minimum=1)
-        brs = c.get("branch_numbers", [])
-        if not isinstance(brs, list) \
-                or not all(isinstance(b, int) and not isinstance(b, bool) and b >= 1
-                           for b in brs):
-            raise SpecValidationError(f"{path}.branch_numbers",
-                                      "expected a list of integers >= 1")
+        _object(c, path, ("irreducible_components", "branch_numbers"),
+                ("irreducible_components",))
+        n = _nat(c, "irreducible_components", path, 1)
+        brs = _list(c, "branch_numbers", path, "a list of integers >= 1",
+                    lambda b: _is_int(b) and b >= 1)
         pieces.append(GeneralCurvePiece(n, tuple(brs)))
     return CurveSpec(pieces=tuple(pieces))
 
 
-def _parse_singularity(entry, path) -> LocalSingularity:
+def _parse_singularity(entry, path: str) -> LocalSingularity:
     if not isinstance(entry, dict) or len(entry) != 1:
-        raise SpecValidationError(
-            path, "expected exactly one of {'ade': ...}, {'germ': ...}, "
-            "{'branches': ...}")
+        raise SpecValidationError(path, "expected exactly one of {'ade': ...}, "
+                                  "{'germ': ...}, {'branches': ...}")
     ((key, value),) = entry.items()
     if key == "ade":
-        if (not isinstance(value, list)) or len(value) != 2 \
-                or not isinstance(value[0], str) \
-                or not isinstance(value[1], int) or isinstance(value[1], bool):
+        if not isinstance(value, list) or len(value) != 2 \
+                or not isinstance(value[0], str) or not _is_int(value[1]):
             raise SpecValidationError(f"{path}.ade",
                                       "expected [family, index] like ['D', 4]")
-        return ade_lookup(value[0], value[1])
+        return ade_lookup(*value)
     if key == "germ":
         if not isinstance(value, str):
             raise SpecValidationError(f"{path}.germ", "expected an expression string")
         return classify_cAn(parse_polynomial(value))
     if key == "branches":
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise SpecValidationError(f"{path}.branches", "expected an integer >= 1")
-        return from_branch_number(value)
+        return from_branch_number(_nat(entry, "branches", path, 1))
     raise SpecValidationError(f"{path}.{key}", "unknown singularity form")
 
 
 def parse_threefold_document(doc) -> VarietySpec:
-    _check_keys(doc, "", {"kind", "label", "pic_rank", "cl_rank", "defect",
-                          "singularities", "matrix"},
-                {"kind", "pic_rank", "singularities"})
+    _object(doc, "", ("kind", "label", "pic_rank", "cl_rank", "defect",
+                      "singularities", "matrix"), ("kind", "pic_rank", "singularities"))
     if ("cl_rank" in doc) == ("defect" in doc):
         raise SpecValidationError("", "give exactly one of 'cl_rank', 'defect'")
-    pic = _nat(doc, "pic_rank", "")
-    cl = _nat(doc, "cl_rank", "") if "cl_rank" in doc else pic + _nat(doc, "defect", "")
-    sings = doc["singularities"]
-    if not isinstance(sings, list):
-        raise SpecValidationError("singularities", "expected a list")
+    pic = _nat(doc, "pic_rank")
+    cl = _nat(doc, "cl_rank") if "cl_rank" in doc else pic + _nat(doc, "defect")
     singularities = tuple(_parse_singularity(s, f"singularities[{i}]")
-                          for i, s in enumerate(sings))
-    matrix = _parse_matrix(doc["matrix"], "matrix") if "matrix" in doc else None
-    label = doc.get("label", "")
-    if not isinstance(label, str):
-        raise SpecValidationError("label", "expected a string")
+                          for i, s in enumerate(_list(doc, "singularities", "", "a list")))
+    matrix = _parse_matrix(doc["matrix"]) if "matrix" in doc else None
     try:
-        return VarietySpec(dimension=3, singularities=singularities,
-                           pic_rank=pic, cl_rank=cl,
-                           restriction_matrix=matrix, label=label)
+        return VarietySpec(3, singularities, pic, cl, matrix, _label(doc))
     except ValueError as exc:
         raise SpecValidationError("", str(exc)) from exc
 
 
 def parse_surface_document(doc) -> SurfaceResolutionSpec:
-    _check_keys(doc, "", {"kind", "label", "pic_rank", "resolution_pic_rank",
-                          "exceptional_components", "toric_gorenstein",
-                          "singularity_orders", "matrix"},
-                {"kind", "pic_rank", "resolution_pic_rank",
-                 "exceptional_components"})
+    _object(doc, "", ("kind", "label", "pic_rank", "resolution_pic_rank",
+                      "exceptional_components", "toric_gorenstein",
+                      "singularity_orders", "matrix"),
+            ("kind", "pic_rank", "resolution_pic_rank", "exceptional_components"))
     toric = doc.get("toric_gorenstein", False)
     if not isinstance(toric, bool):
         raise SpecValidationError("toric_gorenstein", "expected a boolean")
-    orders = doc.get("singularity_orders", [])
-    if not isinstance(orders, list) \
-            or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 2
-                       for n in orders):
-        raise SpecValidationError("singularity_orders",
-                                  "expected a list of integers >= 2")
-    matrix = _parse_matrix(doc["matrix"], "matrix") if "matrix" in doc else None
-    label = doc.get("label", "")
-    if not isinstance(label, str):
-        raise SpecValidationError("label", "expected a string")
+    orders = _list(doc, "singularity_orders", "", "a list of integers >= 2",
+                   lambda n: _is_int(n) and n >= 2)
+    matrix = _parse_matrix(doc["matrix"]) if "matrix" in doc else None
+    label = _label(doc)
     spec = SurfaceResolutionSpec(
-        pic_rank=_nat(doc, "pic_rank", ""),
-        resolution_pic_rank=_nat(doc, "resolution_pic_rank", ""),
-        exceptional_components=_nat(doc, "exceptional_components", ""),
-        toric_gorenstein=toric,
-        singularity_orders=tuple(orders),
-        restriction_matrix=matrix,
-        label=label)
-    if toric and not spec.is_smooth and not spec.singularity_orders:
+        _nat(doc, "pic_rank"), _nat(doc, "resolution_pic_rank"),
+        _nat(doc, "exceptional_components"), toric, tuple(orders), matrix, label)
+    if toric and not spec.is_smooth and not orders:
         raise SpecValidationError(
             "singularity_orders",
             "a singular Gorenstein toric surface needs its cyclic quotient orders")
@@ -209,24 +187,20 @@ def parse_surface_document(doc) -> SurfaceResolutionSpec:
 
 
 def parse_blowup_document(doc) -> BlowupPipeline:
-    _check_keys(doc, "", {"kind", "steps"}, {"kind", "steps"})
-    steps_doc = doc["steps"]
-    if not isinstance(steps_doc, list) or not steps_doc:
-        raise SpecValidationError("steps", "expected a nonempty list")
+    _object(doc, "", ("kind", "steps"), ("kind", "steps"))
     steps = []
-    for i, s in enumerate(steps_doc):
+    for i, s in enumerate(_list(doc, "steps", "", "a nonempty list", nonempty=True)):
         path = f"steps[{i}]"
-        _check_keys(s, path, {"center", "center_germs"}, {"center"})
+        _object(s, path, ("center", "center_germs"), ("center",))
         center = _parse_graph(s["center"], f"{path}.center")
-        germs = ()
-        if "center_germs" in s:
-            raw = s["center_germs"]
-            if not isinstance(raw, list) or not all(isinstance(g, str) for g in raw):
-                raise SpecValidationError(f"{path}.center_germs",
-                                          "expected a list of expression strings")
-            germs = tuple(parse_polynomial(g) for g in raw)
-        steps.append(BlowupStep(center=center, center_germs=germs))
-    return BlowupPipeline(steps=tuple(steps))
+        germs = _list(s, "center_germs", path, "a list of expression strings",
+                      lambda g: isinstance(g, str))
+        germs = tuple(map(parse_polynomial, germs))
+        try:
+            steps.append(BlowupStep(center, germs))
+        except SpecValidationError as exc:  # germs that disagree with the graph
+            raise SpecValidationError(f"{path}.{exc.path}", exc.message) from exc
+    return BlowupPipeline(tuple(steps))
 
 
 _KIND_PARSERS = {
@@ -244,7 +218,7 @@ def parse_spec_document(doc):
     if not isinstance(doc, dict):
         raise SpecValidationError("", "expected a JSON object")
     kind = doc.get("kind")
-    if kind not in _KIND_PARSERS:
+    if not isinstance(kind, str) or kind not in _KIND_PARSERS:
         raise SpecValidationError(
             "kind", "expected one of 'curve', 'threefold', 'surface', "
             "'blowup', 'quiver'")
@@ -252,274 +226,246 @@ def parse_spec_document(doc):
 
 
 # ---------------------------------------------------------------------------
-# report rendering
+# reports: data first, text formatted from the data on request
 # ---------------------------------------------------------------------------
 
-def _group_json(g: FinAbGroup):
+class Report:
+    """A result as JSON data, with the function that formats the data as
+    the lines of the text report."""
+
+    __slots__ = ("data", "lines")
+
+    def __init__(self, data, lines):
+        self.data = data
+        self.lines = lines
+
+
+def _group(g: FinAbGroup) -> dict:
     return {"rank": g.free_rank, "torsion": list(g.invariant_factors)}
 
 
-def _matrix_json(m: IntMatrix):
+def _group_text(d) -> str:
+    return str(FinAbGroup(d["rank"], tuple(d["torsion"])))
+
+
+def _matrix(m: IntMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": m.to_rows()}
 
 
-def _quiver_lines(q: QuiverWithRelations):
-    lines = [f"quiver on {q.vertices} vertices"]
-    for a in q.arrows:
-        lines.append(f"  {a.name}: {a.source + 1} -> {a.target + 1}")
-    rels = ", ".join(f"{q.arrows[i].name}·{q.arrows[j].name} = 0"
-                     for i, j in q.relations)
-    lines.append(f"relations: {rels}" if q.relations else "relations: none")
-    return lines
+def _quiver(q: QuiverWithRelations) -> dict:
+    return {"vertices": q.vertices,
+            "arrows": [{"name": a.name, "source": a.source + 1, "target": a.target + 1}
+                       for a in q.arrows],
+            "relations": [[q.arrows[i].name, q.arrows[j].name] for i, j in q.relations]}
 
 
-def _quiver_json(q: QuiverWithRelations):
-    return {
-        "vertices": q.vertices,
-        "arrows": [{"name": a.name, "source": a.source + 1, "target": a.target + 1}
-                   for a in q.arrows],
-        "relations": [[q.arrows[i].name, q.arrows[j].name] for i, j in q.relations],
-    }
+def _quiver_lines(d) -> list:
+    rels = ", ".join(f"{a}·{b} = 0" for a, b in d["relations"])
+    return ([f"quiver on {d['vertices']} vertices"]
+            + [f"  {a['name']}: {a['source']} -> {a['target']}" for a in d["arrows"]]
+            + [f"relations: {rels}" if rels else "relations: none"])
 
 
-def render_branch_report(rep: BranchReport, germ_text: str = ""):
-    lines = [f"germ: {germ_text}"] if germ_text else []
-    lines += [
-        f"ord(g) = {rep.order}",
-        f"cA index n = {rep.cAn_index}",
-        f"branches = {rep.branch_count}",
-        f"local Cl rank = {rep.branch_count - 1}",
-    ]
+def _germ_lines(d) -> list:
+    return [f"germ: {d['germ']}"] if "germ" in d else []
+
+
+def render_branch_report(rep: BranchReport, germ_text: str = "") -> Report:
     data = {"order": rep.order, "cA_index": rep.cAn_index,
             "branches": rep.branch_count, "local_cl_rank": rep.branch_count - 1}
     if germ_text:
         data["germ"] = germ_text
-    return "\n".join(lines), data
+    return Report(data, lambda d: _germ_lines(d) + [
+        f"ord(g) = {d['order']}", f"cA index n = {d['cA_index']}",
+        f"branches = {d['branches']}", f"local Cl rank = {d['local_cl_rank']}"])
 
 
-def render_local_singularity(sing: LocalSingularity, germ_text: str = ""):
-    cl = FinAbGroup.free(sing.cl_rank)
-    lines = [f"germ: {germ_text}"] if germ_text else []
-    lines += [f"cA index n = {sing.n if sing.n is not None else 'undetermined'}",
-              f"branch number br = {sing.br}",
-              f"local class group Cl = {cl}"]
-    if sing.is_node:
-        lines.append("ordinary double point (node)")
+def render_local_singularity(sing: LocalSingularity, germ_text: str = "") -> Report:
     data = {"cA_index": sing.n, "branches": sing.br,
             "local_cl_rank": sing.cl_rank, "node": sing.is_node}
     if germ_text:
         data["germ"] = germ_text
-    return "\n".join(lines), data
+    return Report(data, lambda d: _germ_lines(d) + [
+        f"cA index n = {'undetermined' if d['cA_index'] is None else d['cA_index']}",
+        f"branch number br = {d['branches']}",
+        f"local class group Cl = {FinAbGroup.free(d['local_cl_rank'])}",
+    ] + (["ordinary double point (node)"] if d["node"] else []))
 
 
-def render_curve_report(spec: CurveSpec):
-    k = curve_k_minus_one(spec)
-    lines = []
-    data = {"k_minus_one": _group_json(k)}
-    if spec.graph is not None:
-        g = spec.graph
-        lam = betti1(g)
-        tree = is_tree_of_lines(g)
-        lines.append(f"nodal curve: {g.vertex_count} components, "
-                     f"{g.edge_count} nodes")
-        lines.append(f"first Betti number of the dual graph = {lam}")
-        lines.append(f"tree of projective lines: {'yes' if tree else 'no'}")
-        data.update({"components": g.vertex_count, "nodes": g.edge_count,
-                     "betti1": lam, "tree_of_lines": tree})
-    else:
-        n_sing = sum(len(p.branch_numbers) for p in spec.pieces)
-        lines.append(f"curve: {len(spec.pieces)} connected pieces, "
-                     f"{n_sing} singular points")
-        data.update({"pieces": len(spec.pieces), "singular_points": n_sing})
-    lines.append(f"K_-1 = {k}")
-    return "\n".join(lines), data
+def render_curve_report(spec: CurveSpec) -> Report:
+    data, g = {"k_minus_one": _group(curve_k_minus_one(spec))}, spec.graph
+    if g is None:
+        data.update(pieces=len(spec.pieces),
+                    singular_points=sum(len(p.branch_numbers) for p in spec.pieces))
+        return Report(data, lambda d: [
+            f"curve: {d['pieces']} connected pieces, {d['singular_points']} singular points",
+            f"K_-1 = {_group_text(d['k_minus_one'])}"])
+    data.update(components=g.vertex_count, nodes=g.edge_count,
+                betti1=betti1(g), tree_of_lines=is_tree_of_lines(g))
+    return Report(data, lambda d: [
+        f"nodal curve: {d['components']} components, {d['nodes']} nodes",
+        f"first Betti number of the dual graph = {d['betti1']}",
+        f"tree of projective lines: {'yes' if d['tree_of_lines'] else 'no'}",
+        f"K_-1 = {_group_text(d['k_minus_one'])}"])
 
 
-def render_quiver_report(q: QuiverWithRelations, basis: AlgebraBasis):
-    lines = _quiver_lines(q)
-    labels = basis.labels(q)
-    lines.append(f"algebra dimension = {basis.dimension}")
-    lines.append("basis: " + ", ".join(labels))
-    data = {"quiver": _quiver_json(q), "dimension": basis.dimension,
-            "basis": labels}
-    return "\n".join(lines), data
+def render_quiver_report(q: QuiverWithRelations, basis: AlgebraBasis) -> Report:
+    data = {"quiver": _quiver(q), "dimension": basis.dimension, "basis": basis.labels(q)}
+    return Report(data, lambda d: _quiver_lines(d["quiver"]) + [
+        f"algebra dimension = {d['dimension']}", "basis: " + ", ".join(d["basis"])])
 
 
-def render_global_report(rep: GlobalReport, spec: VarietySpec):
-    lines = [f"singular points: {len(spec.singularities)}",
-             f"L = br(X) - #Sing(X) = {rep.L}",
-             f"defect delta = {rep.delta}",
-             f"rk K_-1 = {rep.k_minus_one.free_rank}"]
-    if rep.exact:
-        lines.append(f"K_-1 = {rep.k_minus_one} (exact)")
-    else:
-        lines.append("K_-1 known by rank only (no restriction matrix)")
-    ew_text = {EnoughWeil.YES: "yes", EnoughWeil.NO: "no",
-               EnoughWeil.RANK_ZERO_UNVERIFIED: "unverified (rank zero only)"}
-    lines.append(f"enough Weil divisors: {ew_text[rep.enough_weil]}")
-    if rep.nodal and spec.singularities:
-        lines.append(f"maximally nonfactorial: {ew_text[rep.enough_weil]}")
-    data = {"label": spec.label, "singular_points": len(spec.singularities),
-            "L": rep.L, "delta": rep.delta,
-            "k_minus_one": _group_json(rep.k_minus_one), "exact": rep.exact,
-            "enough_weil": rep.enough_weil.value, "nodal": rep.nodal}
-    return "\n".join(lines), data
+def _global_lines(d) -> list:
+    k, sings = d["k_minus_one"], d.get("singular_points")
+    ew = {"Yes": "yes", "No": "no",
+          "RankZeroUnverified": "unverified (rank zero only)"}[d["enough_weil"]]
+    lines = [] if sings is None else [f"singular points: {sings}"]
+    lines += [f"L = br(X) - #Sing(X) = {d['L']}", f"defect delta = {d['delta']}",
+              f"rk K_-1 = {k['rank']}",
+              f"K_-1 = {_group_text(k)} (exact)" if d["exact"]
+              else "K_-1 known by rank only (no restriction matrix)",
+              f"enough Weil divisors: {ew}"]
+    return lines + ([f"maximally nonfactorial: {ew}"] if d["nodal"] and sings else [])
 
 
-def render_surface_report(spec: SurfaceResolutionSpec):
+def render_global_report(rep: GlobalReport, spec: VarietySpec | None = None) -> Report:
+    """The threefold report; the spec, when given, adds its label and the
+    number of its singular points."""
+    data = {"L": rep.L, "delta": rep.delta, "k_minus_one": _group(rep.k_minus_one),
+            "exact": rep.exact, "enough_weil": rep.enough_weil.value, "nodal": rep.nodal}
+    if spec is not None:
+        data.update(label=spec.label, singular_points=len(spec.singularities))
+    return Report(data, _global_lines)
+
+
+def render_surface_report(spec: SurfaceResolutionSpec) -> Report:
     k, exact = surface_k_minus_one(spec)
-    lines = [f"rk Pic(X) = {spec.pic_rank}, "
-             f"rk Pic(resolution) = {spec.resolution_pic_rank}, "
-             f"exceptional components = {spec.exceptional_components}",
-             f"rk K_-1 = {k.free_rank}"]
-    if exact:
-        lines.append(f"K_-1 = {k} (exact)")
-    data = {"pic_rank": spec.pic_rank,
-            "resolution_pic_rank": spec.resolution_pic_rank,
+    data = {"pic_rank": spec.pic_rank, "resolution_pic_rank": spec.resolution_pic_rank,
             "exceptional_components": spec.exceptional_components,
-            "k_minus_one": _group_json(k), "exact": exact,
+            "k_minus_one": _group(k), "exact": exact,
             "toric_gorenstein": spec.toric_gorenstein}
-    return "\n".join(lines), data
+    return Report(data, lambda d: [
+        f"rk Pic(X) = {d['pic_rank']}, rk Pic(resolution) = {d['resolution_pic_rank']}, "
+        f"exceptional components = {d['exceptional_components']}",
+        f"rk K_-1 = {d['k_minus_one']['rank']}",
+    ] + ([f"K_-1 = {_group_text(d['k_minus_one'])} (exact)"] if d["exact"] else []))
 
 
-def render_blowup_report(pipeline: BlowupPipeline):
-    k = pipeline.k_minus_one()
-    sings = pipeline.singularities()
-    verdict = decide(pipeline)
-    lines = [f"blow-up pipeline with {len(pipeline.steps)} step(s)",
-             f"K_-1 of the blow-up = {k}",
-             f"singular points acquired: {len(sings)}"]
-    for s in sings:
-        lines.append(f"  cA_{s.n}: br = {s.br}, local Cl rank = {s.cl_rank}")
-    vtext, vdata = render_verdict(verdict)
-    lines.append(vtext)
-    data = {"k_minus_one": _group_json(k),
-            "singularities": [{"cA_index": s.n, "branches": s.br,
-                               "local_cl_rank": s.cl_rank} for s in sings],
-            "verdict": vdata}
-    return "\n".join(lines), data
+def render_blowup_report(pipeline: BlowupPipeline) -> Report:
+    verdict, steps = decide(pipeline), len(pipeline.steps)
+    data = {"k_minus_one": _group(verdict.k_minus_one),
+            "singularities": [{"cA_index": s.n, "branches": s.br, "local_cl_rank": s.cl_rank}
+                              for s in pipeline.singularities()],
+            "verdict": render_verdict(verdict).data}
+    return Report(data, lambda d: [
+        f"blow-up pipeline with {steps} step(s)",
+        f"K_-1 of the blow-up = {_group_text(d['k_minus_one'])}",
+        f"singular points acquired: {len(d['singularities'])}",
+    ] + [f"  cA_{s['cA_index']}: br = {s['branches']}, local Cl rank = {s['local_cl_rank']}"
+         for s in d["singularities"]] + _verdict_lines(d["verdict"]))
 
 
-def render_verdict(verdict: Verdict):
-    lines = [f"decision: {verdict.decision.value}"]
+def _verdict_lines(d) -> list:
+    lines = [f"decision: {d['decision']}"]
+    if "obstruction" in d:
+        lines += [f"OBSTRUCTED: rk K_-1 = {d['obstruction']['rank']}",
+                  f"obstruction group: {_group_text(d['obstruction'])}"]
+    cert = d.get("certificate", {})
+    if cert:
+        lines.append(f"certificate: {cert['kind']}")
+    if "quiver" in cert:
+        lines += _quiver_lines(cert["quiver"])
+    if "algebra_orders" in cert:
+        lines.append("algebras: " + ", ".join(f"k[z]/(z^{n})" for n in cert["algebra_orders"]))
+    if "parts" in cert:
+        lines.append("replayed parts: " + ", ".join(p["decision"] for p in cert["parts"]))
+    if "k_minus_one" in d:
+        lines.append(f"K_-1 = {_group_text(d['k_minus_one'])}")
+    return lines + [f"note: {note}" for note in d.get("notes", ())]
+
+
+def render_verdict(verdict: Verdict) -> Report:
     data = {"decision": verdict.decision.value}
     if verdict.obstruction is not None:
-        lines.append(f"OBSTRUCTED: rk K_-1 = {verdict.obstruction.free_rank}")
-        lines.append(f"obstruction group: {verdict.obstruction}")
-        data["obstruction"] = _group_json(verdict.obstruction)
-    if verdict.certificate is not None:
-        cert = verdict.certificate
-        lines.append(f"certificate: {cert.kind.value}")
+        data["obstruction"] = _group(verdict.obstruction)
+    elif verdict.k_minus_one is not None:
+        data["k_minus_one"] = _group(verdict.k_minus_one)
+    cert = verdict.certificate
+    if cert is not None:
         data["certificate"] = {"kind": cert.kind.value}
         if cert.quiver is not None:
-            lines.extend(_quiver_lines(cert.quiver))
-            data["certificate"]["quiver"] = _quiver_json(cert.quiver)
+            data["certificate"]["quiver"] = _quiver(cert.quiver)
         if cert.algebra_orders:
-            orders = ", ".join(f"k[z]/(z^{n})" for n in cert.algebra_orders)
-            lines.append(f"algebras: {orders}")
             data["certificate"]["algebra_orders"] = list(cert.algebra_orders)
         if cert.parts:
-            parts = [p.decision.value for p in cert.parts]
-            lines.append("replayed parts: " + ", ".join(parts))
-            data["certificate"]["parts"] = [render_verdict(p)[1] for p in cert.parts]
-    if verdict.k_minus_one is not None and verdict.obstruction is None:
-        lines.append(f"K_-1 = {verdict.k_minus_one}")
-        data["k_minus_one"] = _group_json(verdict.k_minus_one)
-    for note in verdict.notes:
-        lines.append(f"note: {note}")
+            data["certificate"]["parts"] = [render_verdict(p).data for p in cert.parts]
     if verdict.notes:
         data["notes"] = list(verdict.notes)
-    return "\n".join(lines), data
+    return Report(data, _verdict_lines)
 
 
-def render_snf_report(m: IntMatrix):
+def render_snf_report(m: IntMatrix) -> Report:
     d, u, v = smith_normal_form(m)
-    coker = cokernel(m)
-    lines = ["D = U*M*V with unimodular U, V",
-             f"D diagonal: {d.diagonal_entries()}",
-             f"U = {u.to_rows()}",
-             f"V = {v.to_rows()}",
-             f"cokernel Z^{m.rows}/im(M) = {coker}"]
-    data = {"D": _matrix_json(d), "U": _matrix_json(u), "V": _matrix_json(v),
-            "cokernel": _group_json(coker)}
-    return "\n".join(lines), data
+    data = {"D": _matrix(d), "U": _matrix(u), "V": _matrix(v),
+            "cokernel": _group(cokernel(m))}
+    return Report(data, lambda r: [
+        "D = U*M*V with unimodular U, V",
+        f"D diagonal: {[row[i] for i, row in enumerate(r['D']['entries']) if i < len(row)]}",
+        f"U = {r['U']['entries']}", f"V = {r['V']['entries']}",
+        f"cokernel Z^{r['D']['rows']}/im(M) = {_group_text(r['cokernel'])}"])
 
 
-def render_delpezzo_table():
-    rows = del_pezzo_table()
-    header = " d | #sing | rk Pic | rk Cl | rk K_-1 | Kawamata decomp."
-    sep = "---+-------+--------+-------+---------+------------------"
-    lines = [header, sep]
-    for r in rows:
-        lines.append(f" {r.d} | {r.singular_points:5d} | {r.pic_rank:6d} | "
-                     f"{r.cl_rank:5d} | {r.k_rank:7d} | {r.verdict}")
-    data = [{"d": r.d, "singular_points": r.singular_points,
-             "pic_rank": r.pic_rank, "cl_rank": r.cl_rank,
-             "k_rank": r.k_rank, "verdict": r.verdict} for r in rows]
-    return "\n".join(lines), data
+def render_delpezzo_table() -> Report:
+    data = [{"d": r.d, "singular_points": r.singular_points, "pic_rank": r.pic_rank,
+             "cl_rank": r.cl_rank, "k_rank": r.k_rank, "verdict": r.verdict}
+            for r in del_pezzo_table()]
+    return Report(data, lambda rows: [
+        " d | #sing | rk Pic | rk Cl | rk K_-1 | Kawamata decomp.",
+        "---+-------+--------+-------+---------+------------------"] + [
+        f" {r['d']} | {r['singular_points']:5d} | {r['pic_rank']:6d} | "
+        f"{r['cl_rank']:5d} | {r['k_rank']:7d} | {r['verdict']}" for r in rows])
 
 
-def render_ade_table(k_values):
-    lines = ["type | germ g(z, w)  | br | rk Cl",
-             "-----+---------------+----+------"]
+def render_ade_table(k_values) -> Report:
     data = []
     for family, index in ade_labels(k_values):
         germ = ade_germ(family, index)
-        classified = classify_cAn(germ)
-        catalog = ade_lookup(family, index)
+        classified, catalog = classify_cAn(germ), ade_lookup(family, index)
         if (classified.br, classified.cl_rank) != (catalog.br, catalog.cl_rank):
             raise KMinusOneError(f"catalog mismatch at {family}{index}")
-        germ_text = render_polynomial(germ)
-        lines.append(f"{family}{index:<3} | {germ_text:<13} | {catalog.br:2d} "
-                     f"| {catalog.cl_rank:5d}")
-        data.append({"type": f"{family}{index}", "germ": germ_text,
+        data.append({"type": f"{family}{index}", "germ": render_polynomial(germ),
                      "branches": catalog.br, "cl_rank": catalog.cl_rank})
-    return "\n".join(lines), data
+    return Report(data, lambda rows: [
+        "type | germ g(z, w)  | br | rk Cl", "-----+---------------+----+------"] + [
+        f"{r['type']:<4} | {r['germ']:<13} | {r['branches']:2d} | {r['cl_rank']:5d}"
+        for r in rows])
 
 
-def _bare_global_report(rep: GlobalReport):
-    lines = [f"L = br(X) - #Sing(X) = {rep.L}",
-             f"defect delta = {rep.delta}",
-             f"rk K_-1 = {rep.k_minus_one.free_rank}",
-             f"K_-1 = {rep.k_minus_one}" + (" (exact)" if rep.exact else
-                                            " (rank only)"),
-             f"enough Weil divisors: {rep.enough_weil.value}"]
-    data = {"L": rep.L, "delta": rep.delta,
-            "k_minus_one": _group_json(rep.k_minus_one), "exact": rep.exact,
-            "enough_weil": rep.enough_weil.value, "nodal": rep.nodal}
-    return "\n".join(lines), data
-
-
-def _render_any(result):
-    if isinstance(result, Verdict):
-        return render_verdict(result)
-    if isinstance(result, BranchReport):
-        return render_branch_report(result)
-    if isinstance(result, LocalSingularity):
-        return render_local_singularity(result)
-    if isinstance(result, GlobalReport):
-        return _bare_global_report(result)
-    if isinstance(result, FinAbGroup):
-        return str(result), _group_json(result)
-    if isinstance(result, QuiverWithRelations):
-        return "\n".join(_quiver_lines(result)), _quiver_json(result)
-    if isinstance(result, IntMatrix):
-        return str(result.to_rows()), _matrix_json(result)
-    raise TypeError(f"no rendering for {type(result).__name__}")
+# the renderer of each result type that emit_report accepts
+_RENDERERS = {
+    Report: lambda report: report,
+    Verdict: render_verdict,
+    BranchReport: render_branch_report,
+    LocalSingularity: render_local_singularity,
+    GlobalReport: render_global_report,
+    FinAbGroup: lambda g: Report(_group(g), lambda d: [_group_text(d)]),
+    QuiverWithRelations: lambda q: Report(_quiver(q), _quiver_lines),
+    IntMatrix: lambda m: Report(_matrix(m), lambda d: [str(d["entries"])]),
+}
 
 
 def emit_report(result, as_json: bool = False) -> str:
-    """Deterministic text or JSON rendering.  Accepts either a
-    (text, data) pair produced by the render_* helpers or a raw result
-    object (Verdict, BranchReport, LocalSingularity, GlobalReport,
-    FinAbGroup, QuiverWithRelations, IntMatrix)."""
-    if not (isinstance(result, tuple) and len(result) == 2
-            and isinstance(result[0], str)):
-        result = _render_any(result)
-    text, data = result
-    if as_json:
-        return json.dumps(data, indent=2, sort_keys=True)
-    return text
+    """Deterministic text or JSON rendering of a Report from a render_*
+    helper, or of a raw Verdict, BranchReport, LocalSingularity,
+    GlobalReport, FinAbGroup, QuiverWithRelations or IntMatrix.  JSON
+    output formats no text."""
+    for cls in type(result).__mro__:
+        if cls in _RENDERERS:
+            report = _RENDERERS[cls](result)
+            if as_json:
+                return json.dumps(report.data, indent=2, sort_keys=True)
+            return "\n".join(report.lines(report.data))
+    raise TypeError(f"no rendering for {type(result).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -531,109 +477,118 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _load_json(path: str):
+def _load_json(source: str, inline: bool = False):
+    """JSON from a file path, from stdin for '-', or from source itself
+    when inline; every failure is an InputError naming the source."""
     try:
-        if path == "-":
+        if inline:
+            raw = source
+        elif source == "-":
             raw = sys.stdin.read()
         else:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(source, "r", encoding="utf-8") as handle:
                 raw = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {source}: {exc}") from exc
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # malformed, or an integer too long to convert
+        raise InputError(f"{'' if inline else source + ': '}invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{'inline matrix' if inline else source}: "
+                         "JSON nested too deeply to read") from exc
 
 
-def _load_document(path: str):
-    return parse_spec_document(_load_json(path))
-
-
-def _germ_input(args) -> tuple:
-    """(BranchReport-ready germ list or single germ, display text)."""
-    factors = None
-    if args.factors:
-        factors = [parse_polynomial(t) for t in args.factors.split(",") if t.strip()]
-        if not factors:
-            raise InputError("--factors needs at least one expression")
-    if args.expr is None and factors is None:
+def _germ_report(args) -> tuple:
+    """(BranchReport, display text) of the germ expression or --factors."""
+    factors = [parse_polynomial(t) for t in (args.factors or "").split(",") if t.strip()]
+    if args.factors and not factors:
+        raise InputError("--factors needs at least one expression")
+    if args.expr is None and not factors:
         raise InputError("give a germ expression or --factors")
-    if args.expr is not None:
-        germ = parse_polynomial(args.expr)
-        if factors is not None:
-            product = BiPoly.constant(Fraction(1))
-            for f in factors:
-                product = product * f
-            if product != germ:
-                raise InputError(
-                    "--factors do not multiply to the given polynomial")
-            return factors, args.expr
-        return germ, args.expr
-    text = " * ".join(f"({render_polynomial(f)})" for f in factors)
-    return factors, text
+    if args.expr is None:
+        return (branch_count_factored(factors),
+                " * ".join(f"({render_polynomial(f)})" for f in factors))
+    germ = parse_polynomial(args.expr)
+    if not factors:
+        return branch_count(germ), args.expr
+    product = factors[0]
+    for f in factors[1:]:
+        product = product * f
+    if product != germ:
+        raise InputError("--factors do not multiply to the given polynomial")
+    return branch_count_factored(factors), args.expr
+
+
+def _tree_quiver_report(spec: CurveSpec) -> Report:
+    if spec.graph is None:
+        raise InputError("the quiver command needs a curve document with a dual graph")
+    q = burban_quiver(spec.graph)
+    return render_quiver_report(q, algebra_basis(q))
+
+
+# germ commands: name -> (help, renderer of the branch report and germ text)
+_GERM_COMMANDS = {
+    "branches": ("order, Newton data and branch number of a germ", render_branch_report),
+    "classify": ("classify the threefold germ xy + g(z, w)", lambda rep, text:
+                 render_local_singularity(from_branch_report(rep), text)),
+}
+
+# document commands: name -> (help, accepted spec type, its document, renderer)
+_DOCUMENT_COMMANDS = {
+    "curve": ("K_-1 of a curve from a JSON spec document",
+              CurveSpec, "a curve document", render_curve_report),
+    "quiver": ("tilting quiver and algebra basis of a tree of lines",
+               CurveSpec, "a curve document with a dual graph", _tree_quiver_report),
+    "threefold": ("defect, L, K_-1 and enough-Weil-divisors report",
+                  VarietySpec, "a threefold document",
+                  lambda spec: render_global_report(threefold_invariants(spec), spec)),
+    "surface": ("surface K_-1 rank from resolution data",
+                SurfaceResolutionSpec, "a surface document", render_surface_report),
+    "blowup": ("blow-up pipeline report and verdict",
+               BlowupPipeline, "a blowup document", render_blowup_report),
+    "decide": ("three-valued Kawamata decomposition verdict",
+               object, "", lambda spec: render_verdict(decide(spec))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kminusone",
                      description="K_-1 obstructions and certificates for "
                                  "Kawamata type semiorthogonal decompositions")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output")
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json_flag(p):
+    commands = {name: entry[0] for name, entry in _GERM_COMMANDS.items()}
+    commands.update((name, entry[0]) for name, entry in _DOCUMENT_COMMANDS.items())
+    commands.update(snf="Smith normal form of an integer matrix", table="built-in tables")
+    for name, help_text in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        if name in _GERM_COMMANDS:
+            p.add_argument("expr", nargs="?", help="germ expression in z, w")
+            p.add_argument("--factors",
+                           help="comma-separated coprime factors (fallback when "
+                                "an unsupported field extension is needed)")
+        elif name in _DOCUMENT_COMMANDS:
+            p.add_argument("document", help="JSON spec document path, or - for stdin")
+        if name == "threefold":
+            p.add_argument("--matrix", help="restriction matrix file (JSON array of arrays)")
+        elif name == "snf":
+            p.add_argument("matrix", help="inline JSON array of arrays, or a file path")
+        elif name == "table":
+            p.add_argument("which", choices=["delpezzo", "ade"])
+            p.add_argument("--k", default="1..3",
+                           help="ADE parameter range, e.g. 2 or 1..3 (default 1..3)")
         # also accepted after the subcommand; SUPPRESS keeps the
         # top-level value when the flag is absent here
-        p.add_argument("--json", action="store_true",
-                       default=argparse.SUPPRESS,
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                        help="machine-readable output")
-
-    def germ_command(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("expr", nargs="?", help="germ expression in z, w")
-        p.add_argument("--factors",
-                       help="comma-separated coprime factors (fallback when "
-                            "an unsupported field extension is needed)")
-        add_json_flag(p)
-        return p
-
-    germ_command("branches", "order, Newton data and branch number of a germ")
-    germ_command("classify", "classify the threefold germ xy + g(z, w)")
-
-    for name, help_text in [
-            ("curve", "K_-1 of a curve from a JSON spec document"),
-            ("quiver", "tilting quiver and algebra basis of a tree of lines"),
-            ("threefold", "defect, L, K_-1 and enough-Weil-divisors report"),
-            ("surface", "surface K_-1 rank from resolution data"),
-            ("blowup", "blow-up pipeline report and verdict"),
-            ("decide", "three-valued Kawamata decomposition verdict")]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("document", help="JSON spec document path, or - for stdin")
-        if name == "threefold":
-            p.add_argument("--matrix",
-                           help="restriction matrix file (JSON array of arrays)")
-        add_json_flag(p)
-
-    p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    p.add_argument("matrix", help="inline JSON array of arrays, or a file path")
-    add_json_flag(p)
-
-    p = sub.add_parser("table", help="built-in tables")
-    p.add_argument("which", choices=["delpezzo", "ade"])
-    p.add_argument("--k", default="1..3",
-                   help="ADE parameter range, e.g. 2 or 1..3 (default 1..3)")
-    add_json_flag(p)
     return parser
 
 
-def _parse_k_range(text: str):
+def _parse_k_range(text: str) -> range:
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-        else:
-            lo = hi = int(text)
+        lo, dots, hi = text.partition("..")
+        lo, hi = int(lo), int(hi if dots else lo)
     except ValueError as exc:
         raise InputError(f"bad --k range {text!r}; use N or N..M") from exc
     if lo < 1 or hi < lo:
@@ -641,79 +596,26 @@ def _parse_k_range(text: str):
     return range(lo, hi + 1)
 
 
-def _run(args) -> tuple:
-    if args.command == "branches":
-        germ, text = _germ_input(args)
-        rep = branch_count_factored(germ) if isinstance(germ, list) \
-            else branch_count(germ)
-        return render_branch_report(rep, text)
-
-    if args.command == "classify":
-        germ, text = _germ_input(args)
-        if isinstance(germ, list):
-            rep = branch_count_factored(germ)
-            sing = LocalSingularity(source="germ", n=rep.cAn_index,
-                                    br=rep.branch_count,
-                                    cl_rank=rep.branch_count - 1)
-        else:
-            sing = classify_cAn(germ)
-        return render_local_singularity(sing, text)
-
-    if args.command == "curve":
-        spec = _load_document(args.document)
-        if not isinstance(spec, CurveSpec):
-            raise InputError("the curve command needs a curve document")
-        return render_curve_report(spec)
-
-    if args.command == "quiver":
-        spec = _load_document(args.document)
-        if not isinstance(spec, CurveSpec) or spec.graph is None:
-            raise InputError("the quiver command needs a curve document "
-                             "with a dual graph")
-        q = burban_quiver(spec.graph)
-        return render_quiver_report(q, algebra_basis(q))
-
-    if args.command == "threefold":
+def _run(args) -> Report:
+    if args.command in _GERM_COMMANDS:
+        return _GERM_COMMANDS[args.command][1](*_germ_report(args))
+    if args.command in _DOCUMENT_COMMANDS:
+        _, accepted, document, render = _DOCUMENT_COMMANDS[args.command]
         doc = _load_json(args.document)
-        if args.matrix is not None:
-            if isinstance(doc, dict) and "matrix" in doc:
+        if getattr(args, "matrix", None) is not None and isinstance(doc, dict):
+            if "matrix" in doc:
                 raise InputError("matrix given both inline and via --matrix")
-            if isinstance(doc, dict):
-                doc = dict(doc)
-                doc["matrix"] = _load_json(args.matrix)
+            doc = dict(doc, matrix=_load_json(args.matrix))
         spec = parse_spec_document(doc)
-        if not isinstance(spec, VarietySpec):
-            raise InputError("the threefold command needs a threefold document")
-        return render_global_report(threefold_invariants(spec), spec)
-
-    if args.command == "surface":
-        spec = _load_document(args.document)
-        if not isinstance(spec, SurfaceResolutionSpec):
-            raise InputError("the surface command needs a surface document")
-        return render_surface_report(spec)
-
-    if args.command == "blowup":
-        spec = _load_document(args.document)
-        if not isinstance(spec, BlowupPipeline):
-            raise InputError("the blowup command needs a blowup document")
-        return render_blowup_report(spec)
-
-    if args.command == "decide":
-        spec = _load_document(args.document)
-        return render_verdict(decide(spec))
-
+        if not isinstance(spec, accepted):
+            raise InputError(f"the {args.command} command needs {document}")
+        return render(spec)
     if args.command == "snf":
-        raw = args.matrix
-        data = json.loads(raw) if raw.lstrip().startswith("[") else _load_json(raw)
-        m = _parse_matrix(data, "matrix")
-        return render_snf_report(m)
-
-    if args.command == "table":
-        if args.which == "delpezzo":
-            return render_delpezzo_table()
-        return render_ade_table(_parse_k_range(args.k))
-
-    raise InputError(f"unknown command {args.command!r}")
+        inline = args.matrix.lstrip().startswith("[")
+        return render_snf_report(_parse_matrix(_load_json(args.matrix, inline)))
+    if args.which == "delpezzo":
+        return render_delpezzo_table()
+    return render_ade_table(_parse_k_range(args.k))
 
 
 def run_cli(argv=None) -> int:
@@ -722,20 +624,14 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        result = _run(args)
+        report = _run(args)
     except ExtensionUnsupported as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except KMinusOneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 1
-    print(emit_report(result, as_json=args.json))
+    print(emit_report(report, as_json=args.json))
     return 0
 
 

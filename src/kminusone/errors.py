@@ -86,6 +86,7 @@ class SpecValidationError(InputError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
+        self.message = message
 
 
 class ExtensionUnsupported(KMinusOneError):

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import UnknownLabel
 from .exact import BiPoly
-from .germs import branch_count
+from .germs import BranchReport, branch_count
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,17 @@ class LocalSingularity:
         return self.n == 1 and self.br == 2
 
 
+def from_branch_report(rep: BranchReport) -> LocalSingularity:
+    """The threefold germ xy + g(z, w) whose (z, w)-part has the branch
+    report rep (of g, or of its factors taken together)."""
+    return LocalSingularity(source="germ", n=rep.cAn_index, br=rep.branch_count,
+                            cl_rank=rep.branch_count - 1)
+
+
 def classify_cAn(g: BiPoly) -> LocalSingularity:
     """Classify the threefold germ xy + g(z, w): n = ord(g) - 1, branch
     number br of g, local class group Z^(br-1)."""
-    rep = branch_count(g)
-    return LocalSingularity(source="germ", n=rep.cAn_index, br=rep.branch_count,
-                            cl_rank=rep.branch_count - 1)
+    return from_branch_report(branch_count(g))
 
 
 def from_branch_number(br: int) -> LocalSingularity:

@@ -201,21 +201,12 @@ def _decide_surface(spec: SurfaceResolutionSpec) -> Verdict:
 
 
 def _decide_blowup(pipeline) -> Verdict:
-    from .blowup import blowup_k_theory  # local import: blowup builds Verdicts
-
-    total = FinAbGroup.trivial()
-    parts = [smooth_verdict()]
-    all_yes = True
-    for step in pipeline.steps:
-        k_center = curve_k_minus_one(step.center)
-        total = blowup_k_theory(total, k_center, 2)
-        center_verdict = _decide_curve(CurveSpec(graph=step.center))
-        parts.append(center_verdict)
-        if center_verdict.decision is not Decision.YES:
-            all_yes = False
+    total = pipeline.k_minus_one()
     if not total.is_trivial():
         return Verdict(Decision.NO, obstruction=total, k_minus_one=total)
-    if all_yes:
+    parts = [smooth_verdict()]
+    parts += [_decide_curve(CurveSpec(graph=step.center)) for step in pipeline.steps]
+    if all(p.decision is Decision.YES for p in parts):
         cert = Certificate(CertificateKind.BLOWUP_OF_YES_PAIR, parts=tuple(parts))
         return Verdict(Decision.YES, certificate=cert, k_minus_one=total)
     return Verdict(Decision.UNKNOWN, k_minus_one=total, notes=(

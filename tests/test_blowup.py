@@ -1,9 +1,11 @@
 """Blow-up K-theory, acquired singularities, and the center-curve verdict."""
 
+import json
 import random
 
 import pytest
 
+from kminusone import blowup
 from kminusone.blowup import (
     BlowupPipeline,
     BlowupStep,
@@ -12,11 +14,13 @@ from kminusone.blowup import (
     blowup_singularities,
     node_germ,
 )
+from kminusone.cli import emit_report, render_blowup_report, run_cli
 from kminusone.curves import DualGraph, betti1, curve_k_minus_one
-from kminusone.errors import InputError, NotIsolated
+from kminusone.errors import InputError, NotIsolated, SpecValidationError
 from kminusone.exact import FinAbGroup
+from kminusone.localsing import classify_cAn
 from kminusone.parsing import parse_polynomial as poly
-from kminusone.verdicts import CertificateKind, Decision
+from kminusone.verdicts import CertificateKind, Decision, decide
 
 
 class TestBlowupKTheory:
@@ -125,3 +129,64 @@ class TestPipeline:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             BlowupPipeline(steps=())
+
+
+class TestCenterConsistency:
+    """center_germs and the center's dual graph describe the same nodes."""
+
+    def test_cusp_on_a_nodal_center_rejected(self):
+        loop = DualGraph(1, ((0, 0),))
+        with pytest.raises(SpecValidationError) as info:
+            decide(BlowupPipeline((BlowupStep(loop, (poly("z^2 - w^3"),)),)))
+        assert info.value.path == "center_germs[0]"
+
+    def test_germ_count_must_match_node_count(self):
+        with pytest.raises(SpecValidationError) as info:
+            decide(BlowupPipeline((BlowupStep(DualGraph(1), (node_germ(),) * 3),)))
+        assert info.value.path == "center_germs"
+
+    def test_node_germs_accepted_and_counted_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(blowup, "classify_cAn",
+                            lambda g: calls.append(g) or classify_cAn(g))
+        graph = DualGraph(3, ((0, 1), (1, 2), (2, 0)))
+        step = BlowupStep(graph, (poly("z*w"), poly("z^2 - w^2"), poly("z*w")))
+        assert len(calls) == 3
+        assert [s.br for s in step.singularities()] == [2, 2, 2]
+        assert len(calls) == 3
+        assert decide(BlowupPipeline((step,))).obstruction == FinAbGroup.free(1)
+
+    def test_cli_reports_the_field_path(self, capsys, tmp_path):
+        cases = {
+            "steps[0].center_germs[0]": {"center": {"vertices": 1, "edges": [[0, 0]]},
+                                         "center_germs": ["z^2 - w^3"]},
+            "steps[0].center_germs": {"center": {"vertices": 1},
+                                      "center_germs": ["z*w"] * 3},
+        }
+        for path, step in cases.items():
+            doc = tmp_path / "b.json"
+            doc.write_text(json.dumps({"kind": "blowup", "steps": [step]}))
+            for command in ("decide", "blowup"):
+                assert run_cli([command, str(doc)]) == 1
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith(f"error: {path}: ")
+
+
+class TestBlowupK:
+    """_decide_blowup, blowup_curve_verdict and the blowup report all read
+    K_-1 from BlowupPipeline.k_minus_one."""
+
+    def test_one_k_route(self, monkeypatch):
+        marker = FinAbGroup(0, (7,))
+        monkeypatch.setattr(BlowupPipeline, "k_minus_one", lambda self: marker)
+        pipe = BlowupPipeline((BlowupStep(DualGraph(2, ((0, 1),))),))
+        assert decide(pipe).obstruction == marker
+        assert blowup_curve_verdict(DualGraph(1)).obstruction == marker
+        report = json.loads(emit_report(render_blowup_report(pipe), as_json=True))
+        assert report["k_minus_one"] == {"rank": 0, "torsion": [7]}
+
+    def test_contradictory_flags_rejected(self):
+        with pytest.raises(InputError):
+            blowup_curve_verdict(DualGraph(1, rational=(True,), smooth_p1=(False,)))
+        with pytest.raises(InputError):
+            blowup_curve_verdict(DualGraph(0))

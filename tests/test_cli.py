@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, document validation,
 golden output stability."""
 
+import io
 import json
 
 import pytest
@@ -159,6 +160,50 @@ class TestDocumentCommands:
         assert "cannot read" in err
 
 
+class TestUnreadableJson:
+    """JSON the reader cannot take ends in exit code 1 and a message, never
+    in a traceback."""
+
+    def check(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_deep_nesting_in_a_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        self.check(capsys, ["decide", str(path)],
+                   f"{path}: JSON nested too deeply to read")
+
+    def test_deep_nesting_on_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
+        self.check(capsys, ["decide", "-"], "-: JSON nested too deeply to read")
+
+    def test_deep_nesting_inline(self, capsys):
+        self.check(capsys, ["snf", "[" * 100000],
+                   "inline matrix: JSON nested too deeply to read")
+
+    def test_threefold_matrix_file(self, capsys, tmp_path):
+        doc = write_doc(tmp_path, "x.json", {
+            "kind": "threefold", "pic_rank": 1, "cl_rank": 2,
+            "singularities": [{"germ": "z*w"}]})
+        path = tmp_path / "m.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        self.check(capsys, ["threefold", doc, "--matrix", str(path)], "nested too deeply")
+
+    def test_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "curve", "label": "\xe9"}')
+        self.check(capsys, ["decide", str(path)], f"cannot read {path}")
+
+    def test_integer_too_long(self, capsys):
+        self.check(capsys, ["snf", "[[" + "9" * 5000 + "]]"], "invalid JSON")
+
+    def test_kind_of_the_wrong_type(self, capsys, tmp_path):
+        doc = write_doc(tmp_path, "k.json", {"kind": ["curve"]})
+        self.check(capsys, ["decide", doc], "kind: expected one of")
+
+
 class TestSchemaValidation:
     def test_unknown_field_rejected_with_path(self, capsys, tmp_path):
         doc = write_doc(tmp_path, "c.json", {
@@ -256,6 +301,15 @@ class TestEmitReport:
         assert "[[1, 0], [0, 1]]" in emit_report(IntMatrix.identity(2))
         with pytest.raises(TypeError):
             emit_report(object())
+
+    def test_json_formats_no_text(self):
+        from kminusone.cli import Report, emit_report
+
+        def no_text(data):
+            raise AssertionError("text formatted for a JSON report")
+
+        assert emit_report(Report({"b": 1, "a": [2]}, no_text), as_json=True) \
+            == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}'
 
 
 class TestGoldenStability:
