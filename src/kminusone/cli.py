@@ -82,10 +82,18 @@ def _label(doc) -> str:
     return label
 
 
+# Stated resource limit on the vertices and on the edges of a dual graph; the
+# quiver report grows with the cube of the vertex count (26 MB of JSON at 200).
+MAX_GRAPH_SIZE = 200
+
+
 def _parse_graph(doc, path: str) -> DualGraph:
     _object(doc, path, ("vertices", "edges", "rational", "smooth_p1"), ("vertices",))
     vertices = _nat(doc, "vertices", path)
     edges = _list(doc, "edges", path, "a list of pairs")
+    for key, size in (("vertices", vertices), ("edges", len(edges))):
+        if size > MAX_GRAPH_SIZE:
+            raise SpecValidationError(_at(path, key), f"expected at most {MAX_GRAPH_SIZE}")
     for i, e in enumerate(edges):
         if not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e)):
             raise SpecValidationError(f"{path}.edges[{i}]",
@@ -407,7 +415,7 @@ def render_verdict(verdict: Verdict) -> Report:
 def render_snf_report(m: IntMatrix) -> Report:
     d, u, v = smith_normal_form(m)
     data = {"D": _matrix(d), "U": _matrix(u), "V": _matrix(v),
-            "cokernel": _group(cokernel(m))}
+            "cokernel": _group(cokernel(d))}
     return Report(data, lambda r: [
         "D = U*M*V with unimodular U, V",
         f"D diagonal: {[row[i] for i, row in enumerate(r['D']['entries']) if i < len(row)]}",

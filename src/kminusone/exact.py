@@ -4,12 +4,21 @@ Smith normal form, and finitely generated abelian groups.
 Everything here is exact (arbitrary-precision integers and fractions);
 no floating point anywhere.  All values are immutable after construction
 and all operations are pure functions.
+
+Rank, determinant, invariant factors and cokernels build no transforms:
+a fraction-free Bareiss pass gives the rank r and a nonzero r x r minor
+D, and gcd-based elimination over Z/DZ gives the invariant factors as
+gcd(pivot, D) (Domich, Kannan and Trotter 1987; Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 2.4.14).  Only
+``smith_normal_form`` builds U and V: for the ``snf`` command, and for
+``FinAbGroup.direct_sum`` of two torsion chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ZeroPolynomial
 
@@ -476,33 +485,83 @@ class IntMatrix:
         return [self.entry(i, i) for i in range(min(self.rows, self.cols))]
 
     def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination."""
+        """Determinant, from the Bareiss pass that also gives the rank."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        r, minor = _bareiss(self)
+        return minor if r == self.rows else 0
 
     def rank(self) -> int:
-        d, _, _ = smith_normal_form(self)
-        return sum(1 for x in d.diagonal_entries() if x != 0)
+        return _bareiss(self)[0]
+
+
+def _bareiss(m: IntMatrix):
+    """(rank r, a nonzero r x r minor) by fraction-free Bareiss elimination;
+    for a square matrix of full rank the minor is the determinant."""
+    a, prev, sign, r = m.to_rows(), 1, 1, 0
+    for c in range(m.cols):
+        p = next((i for i in range(r, m.rows) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p], sign = a[p], a[r], sign if p == r else -sign
+        piv, prow = a[r][c], a[r]
+        for row in a[r + 1:]:
+            x = row[c]
+            row[c + 1:] = [(v * piv - x * u) // prev
+                           for u, v in zip(prow[c + 1:], row[c + 1:])]
+        prev, r = piv, r + 1
+    return r, sign * prev
+
+
+def _chain(values) -> list:
+    """The invariant factors, as many as values, of the sum of the cyclic
+    groups Z/v over values: each value is merged in by gcd and lcm."""
+    out = []
+    for x in values:
+        for i, y in enumerate(out):
+            out[i], x = gcd(x, y), lcm(x, y)
+        out.append(x)
+    return out
+
+
+def _pivot_gcds(a, R: int) -> list:
+    """A Smith diagonal of the rows a over Z/RZ: gcd(pivot, R) for each
+    pivot of a gcd-based elimination, R for each missing pivot.  Each step
+    clears the column below the pivot mod R; a row is reduced mod R when
+    it becomes the pivot row."""
+    n, a, out = min(len(a), len(a[0])) if a else 0, [list(row) for row in a], []
+    while a and a[0]:
+        live = [row for row in a if row[0] % R]
+        if not live:
+            a = [row[1:] for row in a]
+            continue
+        prow = min(live, key=lambda row: gcd(row[0], R))
+        prow[:] = [u % R for u in prow]
+        for row in (row for row in live if row is not prow):
+            p, x = prow[0], row[0] % R
+            if x % p:  # a unimodular 2 x 2 step puts h = gcd(p, x) in the pivot row
+                h = gcd(p, x)
+                s = pow(p // h, -1, x // h)  # s * p + t * x = h
+                t = (h - s * p) // x
+                prow[:], row[:] = ([(s * u + t * v) % R for u, v in zip(prow, row)],
+                                   [(x // h * u - p // h * v) % R for u, v in zip(prow, row)])
+            else:
+                row[:] = [v - x // p * u for u, v in zip(prow, row)]
+        g = gcd(prow[0], R)
+        rest = [row for row in a if row is not prow]
+        if any(u % g for u in prow):  # go on with the transpose, pivot row first
+            a = [list(col) for col in zip(prow, *rest)]
+            continue
+        a = [row[1:] for row in rest]
+        out.append(g)
+    return out + [R] * (n - len(out))
+
+
+def invariant_factors(m: IntMatrix) -> tuple:
+    """The invariant factors d1 | d2 | ... | dr of M, r = rank M, without
+    transforms; len() of the result is the rank."""
+    r, minor = _bareiss(m)
+    return tuple(_chain(_pivot_gcds(m.to_rows(), abs(minor)))[:r])
 
 
 def smith_normal_form(m: IntMatrix):
@@ -651,20 +710,18 @@ class FinAbGroup:
 
     def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
         facs = self.invariant_factors + other.invariant_factors
-        if not facs:
-            return FinAbGroup(self.free_rank + other.free_rank, ())
-        # renormalize the concatenated factors through SNF of a diagonal matrix
-        d, _, _ = smith_normal_form(IntMatrix.diagonal(facs))
-        chained = tuple(x for x in d.diagonal_entries() if x >= 2)
-        return FinAbGroup(self.free_rank + other.free_rank, chained)
+        if self.invariant_factors and other.invariant_factors:
+            # renormalize the concatenated chains through SNF of a diagonal matrix
+            d, _, _ = smith_normal_form(IntMatrix.diagonal(facs))
+            facs = tuple(x for x in d.diagonal_entries() if x >= 2)
+        return FinAbGroup(self.free_rank + other.free_rank, facs)
 
     def repeated(self, copies: int) -> "FinAbGroup":
+        """Sum of copies: each invariant factor repeated in place is a chain."""
         if copies < 0:
             raise ValueError("negative number of copies")
-        out = FinAbGroup.trivial()
-        for _ in range(copies):
-            out = out.direct_sum(self)
-        return out
+        return FinAbGroup(self.free_rank * copies,
+                          tuple(f for f in self.invariant_factors for _ in range(copies)))
 
     def __str__(self):
         parts = []
@@ -677,8 +734,7 @@ class FinAbGroup:
 
 
 def cokernel(m: IntMatrix) -> FinAbGroup:
-    """Z^rows / image(M) for M viewed as a map Z^cols -> Z^rows."""
-    d, _, _ = smith_normal_form(m)
-    diag = d.diagonal_entries()
-    nonzero = [abs(x) for x in diag if x != 0]
-    return FinAbGroup(m.rows - len(nonzero), tuple(x for x in nonzero if x >= 2))
+    """Z^rows / image(M) for M viewed as a map Z^cols -> Z^rows; its free
+    rank is rows - rank M."""
+    factors = invariant_factors(m)
+    return FinAbGroup(m.rows - len(factors), tuple(d for d in factors if d > 1))

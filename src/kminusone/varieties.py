@@ -27,7 +27,7 @@ from .errors import (
     NegativeResult,
     OutOfRange,
 )
-from .exact import FinAbGroup, IntMatrix, cokernel, smith_normal_form
+from .exact import FinAbGroup, IntMatrix, cokernel
 from .localsing import ordinary_double_point
 
 
@@ -115,11 +115,10 @@ def threefold_invariants(spec: VarietySpec) -> GlobalReport:
         if (m.rows, m.cols) != (L, delta):
             raise MatrixShapeMismatch(
                 f"restriction matrix must be {L} x {delta}, got {m.rows} x {m.cols}")
-        d, _, _ = smith_normal_form(m)
-        if sum(1 for x in d.diagonal_entries() if x) != delta:
+        k = cokernel(m)
+        if k.free_rank != L - delta:
             raise MatrixNotInjective(
                 "restriction matrix does not have full column rank delta")
-        k = cokernel(m)
         ew = EnoughWeil.YES if k.is_trivial() else EnoughWeil.NO
         return GlobalReport(L, delta, k, ew, exact=True, nodal=spec.is_nodal)
     if L == 0:

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from kminusone.cli import parse_spec_document, run_cli
+from kminusone.cli import MAX_GRAPH_SIZE, parse_spec_document, run_cli
 from kminusone.curves import CurveSpec
 from kminusone.errors import SpecValidationError
+from kminusone.exact import smith_normal_form
 
 
 def run(capsys, *argv):
@@ -241,6 +242,24 @@ class TestSchemaValidation:
                 "kind": "curve", "graph": {"vertices": 1, "edges": [[0, 5]]}})
         assert "graph" in str(info.value)
 
+    def test_graph_size_limit(self, capsys, tmp_path):
+        # a 60-byte document must not buy unbounded time: vertex and edge
+        # counts of curves and blow-up centres are capped
+        limit = MAX_GRAPH_SIZE
+        path = [[i, i + 1] for i in range(limit - 1)]
+        ok = write_doc(tmp_path, "ok.json", {
+            "kind": "curve", "graph": {"vertices": limit, "edges": path}})
+        assert run(capsys, "--json", "decide", ok)[0] == 0
+        for doc, field in [
+                ({"kind": "curve", "graph": {"vertices": 200000}}, "graph.vertices"),
+                ({"kind": "curve", "graph": {"vertices": 2,
+                                             "edges": [[0, 1]] * (limit + 1)}}, "graph.edges"),
+                ({"kind": "blowup", "steps": [{"center": {"vertices": limit + 1}}]},
+                 "steps[0].center.vertices")]:
+            code, out, err = run(capsys, "decide", write_doc(tmp_path, "big.json", doc))
+            assert (code, out) == (1, "")
+            assert err == f"error: {field}: expected at most {limit}\n"
+
 
 class TestTables:
     def test_delpezzo_rows(self, capsys):
@@ -281,6 +300,23 @@ class TestSnf:
         code, out, _ = run(capsys, "snf", str(path))
         assert code == 0
         assert "cokernel" in out
+
+    def test_one_smith_form_per_matrix(self, capsys, monkeypatch):
+        # the cokernel is read off the D that the report prints
+        import kminusone.cli as cli
+
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return smith_normal_form(m)
+
+        monkeypatch.setattr(cli, "smith_normal_form", counted)
+        code, out, _ = run(capsys, "--json", "snf", "[[2,4],[6,8]]")
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["cokernel"] == {"rank": 0, "torsion": [2, 4]}
+        code, out, _ = run(capsys, "snf", "[[0, 0], [3, 6], [0, 0]]")
+        assert "cokernel Z^3/im(M) = Z^2 + Z/3" in out
 
 
 class TestEmitReport:

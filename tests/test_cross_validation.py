@@ -18,7 +18,8 @@ sympy = pytest.importorskip("sympy")
 from sympy import ZZ, Matrix, Poly, symbols  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 
-from kminusone.exact import BiPoly, IntMatrix, smith_normal_form  # noqa: E402
+from kminusone.exact import BiPoly, IntMatrix, invariant_factors, \
+    smith_normal_form  # noqa: E402
 from kminusone.germs import bipoly_gcd, branch_count, is_isolated, \
     is_squarefree  # noqa: E402
 
@@ -47,6 +48,29 @@ def test_snf_invariant_factors_match_sympy():
         sm = sympy_snf(Matrix(r, c, entries), domain=ZZ)
         theirs = [abs(sm[j, j]) for j in range(min(r, c)) if sm[j, j] != 0]
         assert ours == theirs
+
+
+def test_transform_free_invariant_factors_match_sympy():
+    # rank and invariant factors without U and V, against sympy's Smith
+    # form, on full-rank, rank-deficient and zero matrices with negative
+    # entries and entries near 2^60
+    rng = random.Random(9002)
+    big = 2 ** 60
+    for i in range(150):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        if i % 3 == 0:
+            entries = [rng.choice((0, rng.randint(-9, 9), big, -big + 1)) for _ in range(r * c)]
+        else:
+            k = rng.randint(0, min(r, c))
+            left = Matrix(r, k, [rng.randint(-3, 3) for _ in range(r * k)])
+            right = Matrix(k, c, [rng.randint(-3, 3) * rng.choice((1, 2, 6))
+                                  for _ in range(k * c)])
+            entries = list(left * right) if k else [0] * (r * c)
+        m = IntMatrix(r, c, tuple(int(x) for x in entries))
+        sm = sympy_snf(Matrix(r, c, entries), domain=ZZ)
+        theirs = tuple(abs(sm[j, j]) for j in range(min(r, c)) if sm[j, j] != 0)
+        assert invariant_factors(m) == theirs
+        assert m.rank() == Matrix(r, c, entries).rank()
 
 
 def test_bivariate_gcd_matches_sympy():

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from kminusone.errors import ZeroPolynomial
+import kminusone.exact as exact
+from kminusone.errors import MatrixNotInjective, ZeroPolynomial
 from kminusone.exact import (
     BiPoly,
     FinAbGroup,
     IntMatrix,
     UniPoly,
     cokernel,
+    invariant_factors,
     smith_normal_form,
     squarefree_decomposition,
     squarefree_part,
@@ -143,6 +145,135 @@ class TestCokernel:
         assert cokernel(IntMatrix.zeros(3, 0)) == FinAbGroup.free(3)
 
 
+def snf_factors(m):
+    """The oracle: the nonzero diagonal of the Smith form with U and V."""
+    d, u, v = smith_normal_form(m)
+    assert (u @ m @ v).entries == d.entries
+    return tuple(abs(x) for x in d.diagonal_entries() if x)
+
+
+def random_matrix(rng, rows, cols, entry):
+    """Entries in [-entry, entry], a third of them zero."""
+    return IntMatrix(rows, cols, tuple(rng.randint(-entry, entry) * (rng.random() < 2 / 3)
+                                       for _ in range(rows * cols)))
+
+
+def low_rank_matrix(rng, rows, cols, rank, entry):
+    """A product rows x rank times rank x cols: rank at most rank."""
+    left = random_matrix(rng, rows, rank, entry)
+    right = random_matrix(rng, rank, cols, entry)
+    return left @ right
+
+
+class TestTransformFreeRoute:
+    """rank, det, invariant_factors and cokernel against the Smith form
+    with U and V (sympy in tests/test_cross_validation.py)."""
+
+    def check(self, m):
+        factors = snf_factors(m)
+        assert invariant_factors(m) == factors
+        assert m.rank() == len(factors)
+        assert cokernel(m) == FinAbGroup(m.rows - len(factors),
+                                         tuple(x for x in factors if x > 1))
+        if m.rows == m.cols:
+            det = 1
+            for x in factors:
+                det *= x
+            assert abs(m.det()) == (det if len(factors) == m.rows else 0)
+
+    def test_seeded_random_matrices(self):
+        rng = random.Random(4044)
+        for _ in range(400):
+            self.check(random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 12))
+
+    def test_empty_and_zero_shapes(self):
+        for rows, cols in [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3), (2, 5), (5, 2)]:
+            m = IntMatrix.zeros(rows, cols)
+            self.check(m)
+            assert invariant_factors(m) == ()
+            assert cokernel(m) == FinAbGroup.free(rows)
+        assert IntMatrix.zeros(0, 0).det() == 1
+
+    def test_rank_deficient_rectangular(self):
+        rng = random.Random(4045)
+        for _ in range(300):
+            rows, cols = rng.randint(2, 7), rng.randint(2, 7)
+            rank = rng.randint(1, min(rows, cols) - 1)
+            m = low_rank_matrix(rng, rows, cols, rank, 4)
+            assert m.rank() <= rank
+            self.check(m)
+
+    def test_torsion_and_negative_entries(self):
+        rng = random.Random(4046)
+        for _ in range(300):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            m = IntMatrix(rows, cols, tuple(rng.choice((0, 0, 2, -4, 6, -6, 12, 9, -18))
+                                            for _ in range(rows * cols)))
+            self.check(m)
+        m = IntMatrix.from_rows([[-4, 0, 0], [2, 6, 3], [2, 0, 3]])
+        assert invariant_factors(m) == (1, 6, 12)
+        assert m.det() == -72
+
+    def test_entries_near_two_to_the_sixty(self):
+        rng = random.Random(4047)
+        big = 2 ** 60
+        for _ in range(150):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            self.check(IntMatrix(rows, cols, tuple(
+                rng.choice((big, -big, 3 * big, big + 1, rng.randint(-big, big), 0))
+                for _ in range(rows * cols))))
+        # two columns that agree except in one entry of size 2^60
+        m = IntMatrix.from_rows([[big, big], [1, 1], [0, 2 * big]])
+        assert invariant_factors(m) == (1, 2 * big)
+
+    def test_known_cokernel(self):
+        # diag(2, 3, 0) hides Z/6 + Z behind an unimodular change of basis
+        m = IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 0]])
+        u = IntMatrix.from_rows([[1, 2, 3], [0, 1, 4], [0, 0, 1]])
+        v = IntMatrix.from_rows([[1, 0, 0], [5, 1, 0], [-2, 7, 1]])
+        assert cokernel(u @ m @ v) == FinAbGroup(1, (6,))
+        assert (u @ m @ v).rank() == 2
+
+    def test_cokernel_builds_no_transforms(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("smith_normal_form called")
+
+        monkeypatch.setattr(exact, "smith_normal_form", refuse)
+        m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        assert cokernel(m) == FinAbGroup(0, (2, 6, 12))
+        assert m.rank() == 3 and m.det() == -144
+
+
+class TestInjectivity:
+    """MatrixNotInjective keeps firing now that the check reads the rank
+    off the one cokernel computation."""
+
+    def test_rank_deficient_threefold_matrix(self):
+        from kminusone.localsing import from_branch_number
+        from kminusone.varieties import VarietySpec, threefold_invariants
+
+        # 3 x 2 of rank 1 whose cokernel also has torsion: Z^2 + Z/2
+        spec = VarietySpec(3, (from_branch_number(4),), pic_rank=1, cl_rank=3,
+                           restriction_matrix=IntMatrix.from_rows(
+                               [[2, 4], [4, 8], [-2, -4]]))
+        with pytest.raises(MatrixNotInjective):
+            threefold_invariants(spec)
+        full = VarietySpec(3, (from_branch_number(4),), pic_rank=1, cl_rank=3,
+                           restriction_matrix=IntMatrix.from_rows(
+                               [[2, 4], [4, 2], [-2, -4]]))
+        assert threefold_invariants(full).k_minus_one == FinAbGroup(1, (2, 6))
+
+    def test_surface_rank_disagreeing_with_resolution_data(self):
+        from kminusone.varieties import SurfaceResolutionSpec, surface_k_minus_one
+
+        # the rank data give rk K_-1 = 0, but the 2 x 3 matrix has rank 1
+        spec = SurfaceResolutionSpec(
+            pic_rank=1, resolution_pic_rank=3, exceptional_components=2,
+            restriction_matrix=IntMatrix.from_rows([[3, 6, 0], [-1, -2, 0]]))
+        with pytest.raises(MatrixNotInjective):
+            surface_k_minus_one(spec)
+
+
 class TestFinAbGroup:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -162,6 +293,42 @@ class TestFinAbGroup:
     def test_repeated(self):
         assert FinAbGroup.cyclic(2).repeated(3) == FinAbGroup(0, (2, 2, 2))
         assert FinAbGroup.free(1).repeated(0).is_trivial()
+
+    def test_repeated_in_closed_form(self, monkeypatch):
+        g = FinAbGroup(2, (2, 6))
+        sums = g.direct_sum(g).direct_sum(g)
+
+        def refuse(*args):
+            raise AssertionError("repeated builds the sum one copy at a time")
+
+        monkeypatch.setattr(FinAbGroup, "direct_sum", refuse)
+        monkeypatch.setattr(exact, "smith_normal_form", refuse)
+        assert FinAbGroup.cyclic(2).repeated(10 ** 6) == FinAbGroup(0, (2,) * 10 ** 6)
+        assert g.repeated(3) == FinAbGroup(6, (2, 2, 2, 6, 6, 6)) == sums
+
+    def test_direct_sum_against_the_cokernel_route(self):
+        # the sum of two groups is the cokernel of the block-diagonal
+        # matrix of their relations; commutative and associative
+        rng = random.Random(4048)
+
+        def group():
+            chain, d = [], 1
+            for _ in range(rng.randint(0, 4)):
+                d *= rng.choice((1, 2, 3, 5, 4))
+                chain.append(d)
+            return FinAbGroup(rng.randint(0, 2), tuple(x for x in chain if x > 1))
+
+        def relations(*groups):
+            diag = [f for g in groups for f in (0,) * g.free_rank + g.invariant_factors]
+            n = len(diag)
+            return IntMatrix(n, n, tuple(diag[i] if i == j else 0
+                                         for i in range(n) for j in range(n)))
+
+        for _ in range(200):
+            a, b, c = group(), group(), group()
+            assert a.direct_sum(b) == cokernel(relations(a, b))
+            assert a.direct_sum(b) == b.direct_sum(a)
+            assert a.direct_sum(b).direct_sum(c) == a.direct_sum(b.direct_sum(c))
 
     def test_str(self):
         assert str(FinAbGroup.trivial()) == "0"
