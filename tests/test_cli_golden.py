@@ -16,6 +16,7 @@ The fixture is regenerated only when an output change is intended:
 import io
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -130,6 +131,26 @@ REJECTED = [
 ]
 
 
+def seeded_matrices(count=40, seed=505):
+    """Seeded snf inputs: row counts 0-7, small entries of both signs,
+    rank-deficient products and entries up to 2^40."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        rows, cols = k % 8, rng.randint(0, 7)
+        if k % 3 == 2 and rows and cols:  # a product through rank r < min(rows, cols)
+            r = rng.randint(0, min(rows, cols) - 1)
+            a = [[rng.randint(-6, 6) for _ in range(r)] for _ in range(rows)]
+            b = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(r)]
+            m = [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(cols)]
+                 for i in range(rows)]
+        else:
+            bound = 2 ** 40 if k % 3 == 1 else 9
+            m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        out.append(json.dumps(m))
+    return out
+
+
 def _write(files, name, doc):
     files[name] = json.dumps(doc)
     return name
@@ -191,6 +212,9 @@ def build_cases() -> list:
     for text in ("[[1, 2], [3]]", "[[true]]", "[1, 2]", "[[1,", "missing.json",
                  "{}"):
         add(["snf", text])
+    for text in seeded_matrices():
+        add(["snf", text])
+        add(["--json", "snf", text])
 
     add(["table", "delpezzo"])
     add(["--json", "table", "delpezzo"])
