@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import DualGraph, betti1, curve_k_minus_one, is_forest_of_lines
-from .errors import InputError, SpecValidationError
+from .errors import InputError, SpecValidationError, at_field
 from .exact import BiPoly, FinAbGroup
 from .localsing import classify_cAn
 from .verdicts import Verdict, decide
@@ -60,7 +60,8 @@ class BlowupStep:
             raise SpecValidationError(
                 "center_germs", f"expected one germ per node of the center "
                 f"({self.center.edge_count}), got {len(germs)}")
-        acquired = tuple(classify_cAn(g) for g in germs)
+        acquired = tuple(at_field(f"center_germs[{j}]", classify_cAn, g)
+                         for j, g in enumerate(germs))
         for j, sing in enumerate(acquired):
             if sing.br != 2:
                 raise SpecValidationError(

@@ -22,7 +22,7 @@ from .blowup import BlowupPipeline, BlowupStep
 from .curves import CurveSpec, DualGraph, GeneralCurvePiece, betti1, \
     curve_k_minus_one, is_tree_of_lines
 from .errors import ExtensionUnsupported, InputError, KMinusOneError, \
-    SpecValidationError
+    SpecValidationError, at_field
 from .exact import FinAbGroup, IntMatrix, cokernel, smith_normal_form
 from .germs import BranchReport, branch_count, branch_count_factored
 from .localsing import LocalSingularity, ade_germ, ade_labels, ade_lookup, \
@@ -150,7 +150,7 @@ def _parse_singularity(entry, path: str) -> LocalSingularity:
     if key == "germ":
         if not isinstance(value, str):
             raise SpecValidationError(f"{path}.germ", "expected an expression string")
-        return classify_cAn(parse_polynomial(value))
+        return at_field(f"{path}.germ", lambda: classify_cAn(parse_polynomial(value)))
     if key == "branches":
         return from_branch_number(_nat(entry, "branches", path, 1))
     raise SpecValidationError(f"{path}.{key}", "unknown singularity form")
@@ -203,11 +203,14 @@ def parse_blowup_document(doc) -> BlowupPipeline:
         center = _parse_graph(s["center"], f"{path}.center")
         germs = _list(s, "center_germs", path, "a list of expression strings",
                       lambda g: isinstance(g, str))
-        germs = tuple(map(parse_polynomial, germs))
+        germs = tuple(at_field(f"{path}.center_germs[{j}]", parse_polynomial, g)
+                      for j, g in enumerate(germs))
         try:
             steps.append(BlowupStep(center, germs))
-        except SpecValidationError as exc:  # germs that disagree with the graph
+        except SpecValidationError as exc:  # a germ at center_germs[j], or the germ count
             raise SpecValidationError(f"{path}.{exc.path}", exc.message) from exc
+        except ExtensionUnsupported as exc:  # raised at center_germs[j]
+            raise ExtensionUnsupported(f"{path}.{exc}") from exc
     return BlowupPipeline(tuple(steps))
 
 

@@ -93,3 +93,15 @@ class ExtensionUnsupported(KMinusOneError):
     """Branch counting would need a field extension the implementation
     cannot certify (CLI exit code 2).  Re-run with --factors, supplying
     the irreducible factors of the germ."""
+
+
+def at_field(path: str, f, *args):
+    """f(*args), with an InputError it raises reported as a
+    SpecValidationError at the field path of a spec document, and
+    ExtensionUnsupported, which keeps exit code 2, with the path in front."""
+    try:
+        return f(*args)
+    except InputError as exc:
+        raise SpecValidationError(path, str(exc)) from exc
+    except ExtensionUnsupported as exc:
+        raise ExtensionUnsupported(f"{path}: {exc}") from exc

@@ -115,16 +115,9 @@ class UniPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            base = base * base if n else base  # no square past the last bit
         return result
-
-    def shift_degree(self, k: int) -> "UniPoly":
-        """Multiply by t^k."""
-        if not self.coeffs:
-            return self
-        zero = self.coeffs[0] * 0
-        return UniPoly((zero,) * k + self.coeffs)
 
     def divmod(self, other: "UniPoly"):
         """Exact field division with remainder."""
@@ -322,12 +315,6 @@ class BiPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def support(self):
-        return set(self.terms)
-
-    def coefficient(self, a: int, b: int):
-        return self.terms.get((a, b), Fraction(0))
-
     def __add__(self, other: "BiPoly") -> "BiPoly":
         t = dict(self.terms)
         for k, c in other.terms.items():
@@ -377,8 +364,8 @@ class BiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            base = base * base if n else base  # no square past the last bit
         return result
 
     def order(self) -> int:
@@ -399,11 +386,6 @@ class BiPoly:
         if not self.terms:
             return -1
         return max(a for a, _ in self.terms)
-
-    def degree_w(self) -> int:
-        if not self.terms:
-            return -1
-        return max(b for _, b in self.terms)
 
     def derivative_z(self) -> "BiPoly":
         out = BiPoly()
@@ -571,91 +553,51 @@ def smith_normal_form(m: IntMatrix):
     Classical elimination with pivot-size control: the smallest nonzero
     entry of the remaining block is swapped in as the pivot, which keeps
     coefficient growth tame at the matrix sizes this package meets.
+    It runs on one matrix, [M | I] over [I]: the row operations carry U
+    beside M, and the column operations carry V below it.
     """
     rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, q):
-        # row_dst += q * row_src
-        ad, asrc = a[dst], a[src]
-        for j in range(cols):
-            ad[j] += q * asrc[j]
-        ud, usrc = u[dst], u[src]
-        for j in range(rows):
-            ud[j] += q * usrc[j]
-
-    def add_col(dst, src, q):
-        for r in a:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
+    a = [row + e for row, e in zip(m.to_rows(), IntMatrix.identity(rows).to_rows())]
+    a += IntMatrix.identity(cols).to_rows()
     for t in range(min(rows, cols)):
         while True:
-            # select the smallest nonzero entry of the remaining block
-            pivot = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    x = abs(a[i][j])
-                    if x and (best is None or x < best):
-                        best, pivot = x, (i, j)
-            if pivot is None:
+            # the smallest nonzero entry of the remaining block, first in row-major order
+            best = 0
+            for r in range(t, rows):
+                for c in range(t, cols):
+                    x = abs(a[r][c])
+                    if x and (not best or x < best):
+                        best, i, j = x, r, c
+            if not best:
                 break
-            if pivot[0] != t:
-                swap_rows(t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
+            a[t], a[i] = a[i], a[t]
+            if j != t:
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
             if a[t][t] < 0:
-                negate_row(t)
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    add_row(i, t, -q)
-                    if a[i][t]:
-                        dirty = True
+                a[t] = [-x for x in a[t]]
+            prow, p = a[t], a[t][t]
+            for row in a[t + 1:rows]:
+                if row[t]:
+                    q = row[t] // p
+                    row[:] = [x - q * y for x, y in zip(row, prow)]
             for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    add_col(j, t, -q)
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                continue
+                if prow[j]:
+                    q = prow[j] // p
+                    for row in a:
+                        row[j] -= q * row[t]
+            if any(prow[t + 1:cols]) or any([row[t] for row in a[t + 1:rows]]):
+                continue  # a remainder is the next, smaller pivot
             # pivot must divide every remaining entry for the chain d1 | d2 | ...
-            fix = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % p:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
+            fix = next((i for i in range(t + 1, rows)
+                        if any(a[i][j] % p for j in range(t + 1, cols))), None)
             if fix is None:
                 break
-            add_row(t, fix, 1)
+            a[t] = [x + y for x, y in zip(prow, a[fix])]
 
-    d = IntMatrix.from_rows(a) if rows else IntMatrix(0, cols, ())
-    return d, IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, ()), \
-        IntMatrix.from_rows(v) if cols else IntMatrix(0, 0, ())
+    return (IntMatrix(rows, cols, tuple(x for row in a[:rows] for x in row[:cols])),
+            IntMatrix(rows, rows, tuple(x for row in a[:rows] for x in row[cols:])),
+            IntMatrix(cols, cols, tuple(x for row in a[rows:] for x in row)))
 
 
 # ---------------------------------------------------------------------------
@@ -700,13 +642,6 @@ class FinAbGroup:
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
-
-    @property
-    def torsion_order(self) -> int:
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
 
     def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
         facs = self.invariant_factors + other.invariant_factors

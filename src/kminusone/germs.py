@@ -66,11 +66,6 @@ class NewtonEdge:
     lattice_length: int
     edge_polynomial: UniPoly
 
-    @property
-    def slope(self) -> Fraction:
-        q, p = self.direction
-        return Fraction(p, q)
-
 
 @dataclass(frozen=True)
 class BranchReport:

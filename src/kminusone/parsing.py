@@ -6,15 +6,20 @@ Grammar:
     factor := base ('^' nat)?
     base   := 'z' | 'w' | rational | '(' expr ')'
 
-Rational literals are integers or 'p/q'; there is no division operator.
-Errors carry 1-based line and column positions.  Parentheses nest at most
-MAX_NESTING deep; deeper input is a syntax error, not a stack overflow.
+Rational literals are integers or 'p/q' in ASCII digits; there is no
+division operator.  Errors carry 1-based line and column positions.
+Parentheses nest at most MAX_NESTING deep, and no sum, product or power
+may reach an exponent above MAX_EXPONENT or more than MAX_TERMS terms:
+beyond a limit the input is a syntax error at the operator, raised before
+a product or power is computed and on the result of a sum.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import PolySyntaxError
 from .exact import BiPoly
@@ -23,6 +28,12 @@ from .exact import BiPoly
 # frames of the recursive descent, so this stays well inside Python's
 # default recursion limit wherever the parser is called from.
 MAX_NESTING = 100
+# Stated limits on germ size, checked at each operator.
+# `branches` on z^n - w^n builds a degree-n polynomial (n = 400,000: 4.9 s,
+# 88 MB; germ-scan's largest exponent is 300,001); a product of t-term
+# polynomials costs ~t^2 coefficient products ((1+z)^499: 0.6 s).
+MAX_EXPONENT = 400_000
+MAX_TERMS = 500
 
 
 @dataclass(frozen=True)
@@ -33,56 +44,28 @@ class _Token:
     column: int
 
 
+# a number p or p/q, an operator or variable, a newline, blanks, or any other character
+_TOKEN = re.compile(r"([0-9]+)(/([0-9]*))?|([zw+*^()-])|(\n)|[ \t\r]+|(.)", re.S)
+
+
 def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in "zw":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            start = i
-            startcol = col
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
-            num = int(text[start:i])
-            den = 1
-            if i < n and text[i] == "/":
-                i += 1
-                col += 1
-                dstart = i
-                while i < n and text[i].isdigit():
-                    i += 1
-                    col += 1
-                if dstart == i:
-                    raise PolySyntaxError("expected digits after '/'", line, col)
-                den = int(text[dstart:i])
-                if den == 0:
-                    raise PolySyntaxError("zero denominator", line, startcol)
-            tokens.append(_Token("number", Fraction(num, den), line, startcol))
-            continue
-        raise PolySyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", None, line, col))
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(text):
+        col = m.start() - line_start + 1
+        num, slash, den, op, newline, other = m.groups()
+        if op:
+            tokens.append(_Token(op, op, line, col))
+        elif newline:
+            line, line_start = line + 1, m.end()
+        elif other:
+            raise PolySyntaxError(f"unexpected character {other!r}", line, col)
+        elif num:
+            if slash and not den:
+                raise PolySyntaxError("expected digits after '/'", line, m.end() - line_start + 1)
+            if den and not int(den):
+                raise PolySyntaxError("zero denominator", line, col)
+            tokens.append(_Token("number", Fraction(int(num), int(den or 1)), line, col))
+    tokens.append(_Token("end", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -117,22 +100,27 @@ class _Parser:
         if sign < 0:
             result = -result
         while self.cur.kind in "+-":
-            op = self.advance().kind
+            op = self.advance()
             term = self.parse_term()
-            result = result + term if op == "+" else result - term
+            result = result + term if op.kind == "+" else result - term
+            if len(result.terms) > MAX_TERMS:  # checked after: a sum costs no more
+                raise PolySyntaxError(f"more than {MAX_TERMS} terms", op.line, op.column)
         return result
 
     def parse_term(self) -> BiPoly:
         result = self.parse_factor()
         while self.cur.kind == "*":
-            self.advance()
-            result = result * self.parse_factor()
+            op = self.advance()
+            factor = self.parse_factor()
+            _check_size(op, len(result.terms) * len(factor.terms),
+                        *map(sum, zip(_degrees(result), _degrees(factor))))
+            result = result * factor
         return result
 
     def parse_factor(self) -> BiPoly:
         base = self.parse_base()
         if self.cur.kind == "^":
-            self.advance()
+            op = self.advance()
             tok = self.cur
             if tok.kind != "number":
                 raise PolySyntaxError("expected a natural number exponent",
@@ -141,7 +129,13 @@ class _Parser:
                 raise PolySyntaxError("exponent must be a natural number",
                                       tok.line, tok.column)
             self.advance()
-            return base ** int(tok.value)
+            n, k = int(tok.value), len(base.terms)
+            if n > MAX_EXPONENT:
+                raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", op.line, op.column)
+            # the n-th power of k terms has at most comb(n + k - 1, k - 1) terms
+            _check_size(op, comb(n + k - 1, k - 1) if k else 1,
+                        *(n * d for d in _degrees(base)))
+            return base ** n
         return base
 
     def parse_base(self) -> BiPoly:
@@ -169,6 +163,20 @@ class _Parser:
         raise PolySyntaxError(
             f"expected 'z', 'w', a number or '(', found {tok.kind!r}",
             tok.line, tok.column)
+
+
+def _degrees(p: BiPoly) -> tuple:
+    """The largest exponents of z and of w in p."""
+    return tuple(map(max, zip(*p.terms, (0, 0))))
+
+
+def _check_size(op: _Token, terms: int, z_degree: int, w_degree: int) -> None:
+    """Raise at op when its result, with at most terms terms and these
+    degrees in z and w, could pass MAX_EXPONENT or MAX_TERMS."""
+    if max(z_degree, w_degree) > MAX_EXPONENT:
+        raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", op.line, op.column)
+    if min(terms, (z_degree + 1) * (w_degree + 1)) > MAX_TERMS:
+        raise PolySyntaxError(f"more than {MAX_TERMS} terms", op.line, op.column)
 
 
 def parse_polynomial(text: str) -> BiPoly:

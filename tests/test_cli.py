@@ -49,6 +49,10 @@ class TestGermCommands:
         assert out == ""
         assert "nested deeper" in err and "Traceback" not in err
 
+    def test_non_ascii_digit_exit_one(self, capsys):
+        assert run(capsys, "branches", "z²") == (
+            1, "", "error: unexpected character '²' (line 1, column 2)\n")
+
     def test_extension_unsupported_exit_two(self, capsys):
         code, _, err = run(capsys, "branches", "(z^7 - 2*w^7)^2 + z^3*w^12")
         assert code == 2
@@ -259,6 +263,26 @@ class TestSchemaValidation:
             code, out, err = run(capsys, "decide", write_doc(tmp_path, "big.json", doc))
             assert (code, out) == (1, "")
             assert err == f"error: {field}: expected at most {limit}\n"
+
+    def test_germ_errors_name_their_field(self, capsys, tmp_path):
+        hard = "(z^7 - 2*w^7)^2 + z^3*w^12"  # needs an uncertified extension
+        loop = {"vertices": 1, "edges": [[0, 0]]}
+        isolated = "branch counting requires an isolated germ"
+        for doc, code, start in [
+                ({"kind": "threefold", "pic_rank": 1, "cl_rank": 1,
+                  "singularities": [{"ade": ["A", 1]}, {"germ": "z*w + w¹"}]},
+                 1, "error: singularities[1].germ: unexpected character '¹' (line 1, column 8)"),
+                ({"kind": "threefold", "pic_rank": 1, "cl_rank": 1,
+                  "singularities": [{"germ": hard}]},
+                 2, "unsupported: singularities[0].germ: "),
+                ({"kind": "blowup", "steps": [{"center": loop}, {
+                    "center": {"vertices": 2, "edges": [[0, 1], [0, 1]]},
+                    "center_germs": ["z*w", "z^2"]}]},
+                 1, f"error: steps[1].center_germs[1]: {isolated}"),
+                ({"kind": "blowup", "steps": [{"center": loop, "center_germs": [hard]}]},
+                 2, "unsupported: steps[0].center_germs[0]: ")]:
+            result = run(capsys, "decide", write_doc(tmp_path, "doc.json", doc))
+            assert result[:2] == (code, "") and result[2].startswith(start)
 
 
 class TestTables:

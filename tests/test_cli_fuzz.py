@@ -1,12 +1,14 @@
 """Property test over run_cli: random spec documents, built from the real
-field names with wrong types, extra keys and nesting, never make the CLI
-escape with an exception; every run ends in exit code 0, 1 or 2."""
+field names with wrong types, extra keys and nesting, and every sample
+text as a germ, never make the CLI escape with an exception; every run
+ends in exit code 0, 1 or 2."""
 
 import contextlib
 import io
 import json
 import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +23,8 @@ FIELDS = [
     "singularity_orders", "steps", "center", "center_germs", "genus",
 ]
 # cheap germs only: the property is about validation, not branch counting
-TEXTS = KINDS + ["z*w", "z^2 - w^3", "z^2*w + w^3", "z^2", "z^2 +", "0", "A", "D",
-                 "E", "nodal-quadric", "kawamata-p2p2", ""]
+TEXTS = KINDS + ["z*w", "z^2 - w^3", "z^2*w + w^3", "z^2", "z^2 +", "z²", "0", "A",
+                 "D", "E", "nodal-quadric", "kawamata-p2p2", ""]
 
 LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 9),
                    st.sampled_from(TEXTS), st.just(1.5))
@@ -97,8 +99,22 @@ def _run(argv, stdin_text):
           suppress_health_check=[HealthCheck.too_slow])
 @given(documents(), st.sampled_from(["decide", *KINDS]), st.booleans())
 def test_run_cli_exits_cleanly_on_any_document(doc, command, as_json):
-    text = json.dumps(doc)
-    code, out, err = _run([command, "-"] + ["--json"] * as_json, text)
+    _check_clean(_run([command, "-"] + ["--json"] * as_json, json.dumps(doc)), as_json)
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_run_cli_exits_cleanly_on_any_germ_text(text):
+    # each text as a germ argument, a singularity germ and a centre germ
+    _check_clean(_run(["--json", "branches", text], ""), True)
+    for doc in ({"kind": "threefold", "pic_rank": 1, "cl_rank": 2,
+                 "singularities": [{"germ": text}]},
+                {"kind": "blowup", "steps": [{"center": {"vertices": 1, "edges": [[0, 0]]},
+                                              "center_germs": [text]}]}):
+        _check_clean(_run(["--json", "decide", "-"], json.dumps(doc)), True)
+
+
+def _check_clean(result, as_json):
+    code, out, err = result
     assert code in (0, 1, 2)
     if code == 0:
         assert err == ""

@@ -3,10 +3,11 @@ command, byte for byte.
 
 The corpus covers every document command in text and --json over the demo
 documents, the germ commands with and without --factors, snf inline and
-from a file, both tables, every command's --help, and one rejected input
-for each validation and input-error message of the CLI.  Cases with
-``files`` run in a scratch directory holding those files; the others run
-from the repository root, so demo paths are relative and stable.
+from a file, 40 seeded snf matrices in text and --json, both tables,
+every command's --help, and one rejected input for each validation and
+input-error message of the CLI.  Cases with ``files`` run in a scratch
+directory holding those files; the others run from the repository root,
+so demo paths are relative and stable.
 
 The fixture is regenerated only when an output change is intended:
 
@@ -132,12 +133,13 @@ REJECTED = [
 
 
 def seeded_matrices(count=40, seed=505):
-    """Seeded snf inputs: row counts 0-7, small entries of both signs,
-    rank-deficient products and entries up to 2^40."""
+    """Distinct seeded snf inputs: row counts 0-7, small entries of both
+    signs, rank-deficient products and entries up to 2^40."""
     rng = random.Random(seed)
     out = []
-    for k in range(count):
-        rows, cols = k % 8, rng.randint(0, 7)
+    while len(out) < count:
+        k = len(out)
+        rows, cols = k if k < 8 else rng.randint(1, 7), rng.randint(0, 7)
         if k % 3 == 2 and rows and cols:  # a product through rank r < min(rows, cols)
             r = rng.randint(0, min(rows, cols) - 1)
             a = [[rng.randint(-6, 6) for _ in range(r)] for _ in range(rows)]
@@ -147,7 +149,8 @@ def seeded_matrices(count=40, seed=505):
         else:
             bound = 2 ** 40 if k % 3 == 1 else 9
             m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-        out.append(json.dumps(m))
+        if json.dumps(m) not in out:
+            out.append(json.dumps(m))
     return out
 
 

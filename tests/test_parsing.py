@@ -7,7 +7,8 @@ import pytest
 
 from kminusone.errors import PolySyntaxError
 from kminusone.exact import BiPoly
-from kminusone.parsing import MAX_NESTING, parse_polynomial, render_polynomial
+from kminusone.parsing import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, parse_polynomial, \
+    render_polynomial
 
 
 class TestParse:
@@ -84,6 +85,53 @@ class TestSyntaxErrors:
         assert info.value.column == depth + 1
         with pytest.raises(PolySyntaxError):
             parse_polynomial("(" * 3000 + "z" + ")" * 3000)
+
+
+    def test_only_ascii_digits(self):
+        # str.isdigit() holds for all of these; int() cannot read '²'
+        for text, column in (("z²", 2), ("z*w + w¹", 8), ("٣*z*w", 1)):
+            with pytest.raises(PolySyntaxError, match="unexpected character") as info:
+                parse_polynomial(text)
+            assert (info.value.line, info.value.column) == (1, column)
+
+
+def _rejected_at(text, op):
+    """The limit error of text, which must sit at the operator that ends
+    the first occurrence of op."""
+    with pytest.raises(PolySyntaxError) as info:
+        parse_polynomial(text)
+    assert (info.value.line, info.value.column) == (1, text.index(op) + len(op))
+    return str(info.value)
+
+
+class TestSizeLimits:
+    def test_exponent_limit(self):
+        assert parse_polynomial(f"z^{MAX_EXPONENT} - w^2").terms == {
+            (MAX_EXPONENT, 0): 1, (0, 2): -1}
+        for text, op in ((f"z^{MAX_EXPONENT + 1}", "^"), (f"2^{MAX_EXPONENT + 1}", "^"),
+                         (f"w*w^{MAX_EXPONENT}", "*"),
+                         (f"(z^1000)^{MAX_EXPONENT // 1000 + 1}", ")^")):
+            assert f"exponent above {MAX_EXPONENT}" in _rejected_at(text, op)
+
+    def test_term_limit_on_sums(self):
+        text = " + ".join(f"z^{i}" for i in range(MAX_TERMS))
+        assert len(parse_polynomial(text).terms) == MAX_TERMS
+        assert f"more than {MAX_TERMS} terms" in _rejected_at(text + " - w", "-")
+
+    def test_term_limit_on_products_and_powers(self):
+        # (1 + z + w)^n may have (n + 1)(n + 2)/2 terms
+        assert len(parse_polynomial("(1 + z + w)^30").terms) == 496
+        _rejected_at("(1+z+w)^31", "^")
+        _rejected_at("(1+z)^300*(1+w)", "*")
+        # the bound uses the degrees too: this product has 302 terms
+        assert len(parse_polynomial("(1+z)^300*(1+z)").terms) == 302
+
+    def test_limits_reject_before_computing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("computed past a limit")
+        monkeypatch.setattr(BiPoly, "__pow__", refuse)
+        monkeypatch.setattr(BiPoly, "__mul__", refuse)
+        _rejected_at("(1+z+w)^150*z", "^")
 
 
 class TestRoundTrip:
