@@ -7,8 +7,7 @@ on progressively harder germs.
 """
 
 from kminusone import ExtensionUnsupported, branch_count, \
-    branch_count_factored, is_isolated, newton_polygon, order_at_origin, \
-    parse_polynomial
+    branch_count_factored, is_isolated, newton_polygon, parse_polynomial
 
 
 def show(text):
@@ -49,7 +48,7 @@ print()
 print("Beyond one extension the tool refuses rather than guesses;")
 print("factored input keeps it total:")
 g = parse_polynomial("(z^7 - 2*w^7)^2 + z^3*w^12")
-print(f"  ord = {order_at_origin(g)}")
+print(f"  ord = {g.order()}")
 # isolatedness is decided by the same local recursion, so it refuses too
 for check in (is_isolated, branch_count):
     try:

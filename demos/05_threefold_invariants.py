@@ -20,7 +20,7 @@ print()
 print("Kawamata's factorial cubic example: blow up one node of a 2-nodal")
 print("factorial cubic; the remaining node has Pic = Cl, so delta = 0 and")
 print("K_-1 = Z^L exactly:")
-cubic = VarietySpec(dimension=3, singularities=(ordinary_double_point(),),
+cubic = VarietySpec(singularities=(ordinary_double_point(),),
                     pic_rank=2, cl_rank=2)
 rep = threefold_invariants(cubic)
 print(f"  L = {rep.L}, delta = {rep.delta}, K_-1 = {rep.k_minus_one} "
@@ -30,8 +30,7 @@ print()
 print("Nodal hypersurfaces and double solids always have delta < r")
 print("(except the quadric), hence rk K_-1 = r - delta > 0:")
 for r, delta in [(2, 1), (16, 6), (10, 5)]:
-    spec = VarietySpec(dimension=3,
-                       singularities=(ordinary_double_point(),) * r,
+    spec = VarietySpec(singularities=(ordinary_double_point(),) * r,
                        pic_rank=1, cl_rank=1 + delta)
     rep = threefold_invariants(spec)
     print(f"  r = {r:2d}, delta = {delta}: rk K_-1 = "
@@ -40,19 +39,16 @@ for r, delta in [(2, 1), (16, 6), (10, 5)]:
 print()
 print("Rank data alone cannot certify vanishing: delta = L only says the")
 print("ranks match, not that the restriction map is onto.")
-two_nodes = VarietySpec(dimension=3,
-                        singularities=(ordinary_double_point(),) * 2,
+two_nodes = VarietySpec(singularities=(ordinary_double_point(),) * 2,
                         pic_rank=1, cl_rank=3)
 rep = threefold_invariants(two_nodes)
 print(f"  without matrix: enough Weil divisors = {rep.enough_weil.value}")
-verified = VarietySpec(dimension=3,
-                       singularities=(ordinary_double_point(),) * 2,
+verified = VarietySpec(singularities=(ordinary_double_point(),) * 2,
                        pic_rank=1, cl_rank=3,
                        restriction_matrix=IntMatrix.from_rows([[1, 0], [0, 1]]))
 rep = threefold_invariants(verified)
 print(f"  with identity matrix: enough Weil divisors = {rep.enough_weil.value}")
-halved = VarietySpec(dimension=3,
-                     singularities=(ordinary_double_point(),) * 2,
+halved = VarietySpec(singularities=(ordinary_double_point(),) * 2,
                      pic_rank=1, cl_rank=3,
                      restriction_matrix=IntMatrix.from_rows([[2, 0], [0, 1]]))
 rep = threefold_invariants(halved)

@@ -48,7 +48,6 @@ from .exact import (
     UniPoly,
     cokernel,
     smith_normal_form,
-    squarefree_part,
 )
 from .germs import (
     BranchReport,
@@ -57,7 +56,6 @@ from .germs import (
     branch_count_factored,
     is_isolated,
     newton_polygon,
-    order_at_origin,
 )
 from .localsing import (
     LocalSingularity,

@@ -167,7 +167,7 @@ def parse_threefold_document(doc) -> VarietySpec:
                           for i, s in enumerate(_list(doc, "singularities", "", "a list")))
     matrix = _parse_matrix(doc["matrix"]) if "matrix" in doc else None
     try:
-        return VarietySpec(3, singularities, pic, cl, matrix, _label(doc))
+        return VarietySpec(singularities, pic, cl, matrix, _label(doc))
     except ValueError as exc:
         raise SpecValidationError("", str(exc)) from exc
 
@@ -327,25 +327,23 @@ def render_quiver_report(q: QuiverWithRelations, basis: AlgebraBasis) -> Report:
 
 
 def _global_lines(d) -> list:
-    k, sings = d["k_minus_one"], d.get("singular_points")
+    k, sings = d["k_minus_one"], d["singular_points"]
     ew = {"Yes": "yes", "No": "no",
           "RankZeroUnverified": "unverified (rank zero only)"}[d["enough_weil"]]
-    lines = [] if sings is None else [f"singular points: {sings}"]
-    lines += [f"L = br(X) - #Sing(X) = {d['L']}", f"defect delta = {d['delta']}",
-              f"rk K_-1 = {k['rank']}",
-              f"K_-1 = {_group_text(k)} (exact)" if d["exact"]
-              else "K_-1 known by rank only (no restriction matrix)",
-              f"enough Weil divisors: {ew}"]
+    lines = [f"singular points: {sings}", f"L = br(X) - #Sing(X) = {d['L']}",
+             f"defect delta = {d['delta']}", f"rk K_-1 = {k['rank']}",
+             f"K_-1 = {_group_text(k)} (exact)" if d["exact"]
+             else "K_-1 known by rank only (no restriction matrix)",
+             f"enough Weil divisors: {ew}"]
     return lines + ([f"maximally nonfactorial: {ew}"] if d["nodal"] and sings else [])
 
 
-def render_global_report(rep: GlobalReport, spec: VarietySpec | None = None) -> Report:
-    """The threefold report; the spec, when given, adds its label and the
-    number of its singular points."""
+def render_global_report(rep: GlobalReport, spec: VarietySpec) -> Report:
+    """The threefold report of spec, with its label and the number of its
+    singular points."""
     data = {"L": rep.L, "delta": rep.delta, "k_minus_one": _group(rep.k_minus_one),
-            "exact": rep.exact, "enough_weil": rep.enough_weil.value, "nodal": rep.nodal}
-    if spec is not None:
-        data.update(label=spec.label, singular_points=len(spec.singularities))
+            "exact": rep.exact, "enough_weil": rep.enough_weil.value, "nodal": rep.nodal,
+            "label": spec.label, "singular_points": len(spec.singularities)}
     return Report(data, _global_lines)
 
 
@@ -417,6 +415,12 @@ def render_verdict(verdict: Verdict) -> Report:
 
 def render_snf_report(m: IntMatrix) -> Report:
     d, u, v = smith_normal_form(m)
+    # Python prints no int of more digits than this; 0, or no such
+    # function (before 3.10.7), means no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and max((abs(x) for t in (d, u, v) for x in t.entries), default=0) >= 10 ** limit:
+        raise InputError(f"an entry of D, U or V has more than {limit} digits, "
+                         "past Python's limit on printing an integer")
     data = {"D": _matrix(d), "U": _matrix(u), "V": _matrix(v),
             "cokernel": _group(cokernel(d))}
     return Report(data, lambda r: [
@@ -442,7 +446,7 @@ def render_ade_table(k_values) -> Report:
     for family, index in ade_labels(k_values):
         germ = ade_germ(family, index)
         classified, catalog = classify_cAn(germ), ade_lookup(family, index)
-        if (classified.br, classified.cl_rank) != (catalog.br, catalog.cl_rank):
+        if classified.br != catalog.br:
             raise KMinusOneError(f"catalog mismatch at {family}{index}")
         data.append({"type": f"{family}{index}", "germ": render_polynomial(germ),
                      "branches": catalog.br, "cl_rank": catalog.cl_rank})
@@ -452,31 +456,12 @@ def render_ade_table(k_values) -> Report:
         for r in rows])
 
 
-# the renderer of each result type that emit_report accepts
-_RENDERERS = {
-    Report: lambda report: report,
-    Verdict: render_verdict,
-    BranchReport: render_branch_report,
-    LocalSingularity: render_local_singularity,
-    GlobalReport: render_global_report,
-    FinAbGroup: lambda g: Report(_group(g), lambda d: [_group_text(d)]),
-    QuiverWithRelations: lambda q: Report(_quiver(q), _quiver_lines),
-    IntMatrix: lambda m: Report(_matrix(m), lambda d: [str(d["entries"])]),
-}
-
-
-def emit_report(result, as_json: bool = False) -> str:
+def emit_report(report: Report, as_json: bool = False) -> str:
     """Deterministic text or JSON rendering of a Report from a render_*
-    helper, or of a raw Verdict, BranchReport, LocalSingularity,
-    GlobalReport, FinAbGroup, QuiverWithRelations or IntMatrix.  JSON
-    output formats no text."""
-    for cls in type(result).__mro__:
-        if cls in _RENDERERS:
-            report = _RENDERERS[cls](result)
-            if as_json:
-                return json.dumps(report.data, indent=2, sort_keys=True)
-            return "\n".join(report.lines(report.data))
-    raise TypeError(f"no rendering for {type(result).__name__}")
+    helper.  JSON output formats no text."""
+    if as_json:
+        return json.dumps(report.data, indent=2, sort_keys=True)
+    return "\n".join(report.lines(report.data))
 
 
 # ---------------------------------------------------------------------------

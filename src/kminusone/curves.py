@@ -134,44 +134,23 @@ def _piece_rank(piece: GeneralCurvePiece) -> int:
     return rank
 
 
-def _graph_pieces(graph: DualGraph):
-    comps = graph.connected_components()
-    vertex_comp = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            vertex_comp[v] = i
-    edge_counts = [0] * len(comps)
-    for u, _ in graph.edges:
-        edge_counts[vertex_comp[u]] += 1
-    return [GeneralCurvePiece(len(comp), (2,) * edge_counts[i])
-            for i, comp in enumerate(comps)]
-
-
 def curve_k_minus_one(spec) -> FinAbGroup:
-    """K_-1 of the curve: free abelian of rank br - #Sing - N + 1 per
-    connected piece, summed over pieces.  Accepts a CurveSpec, a
-    DualGraph, or an iterable of GeneralCurvePiece."""
+    """K_-1 of the curve: free of rank b_1 of the dual graph, or of rank
+    br - #Sing - N + 1 per connected piece, summed over pieces.  Accepts a
+    CurveSpec, a DualGraph, or an iterable of GeneralCurvePiece."""
+    if isinstance(spec, CurveSpec):
+        spec = spec.pieces if spec.graph is None else spec.graph
     if isinstance(spec, DualGraph):
-        pieces = _graph_pieces(spec)
-    elif isinstance(spec, CurveSpec):
-        pieces = _graph_pieces(spec.graph) if spec.graph is not None else spec.pieces
-    else:
-        pieces = list(spec)
-    rank = sum(_piece_rank(p) for p in pieces)
-    return FinAbGroup.free(rank)
+        return FinAbGroup.free(betti1(spec))
+    return FinAbGroup.free(sum(_piece_rank(p) for p in spec))
 
 
 def is_tree_of_lines(graph: DualGraph) -> bool:
     """True iff the graph is a connected loop-free tree whose components
     are all smooth P^1: the hypotheses of the tilting-object theorem for
-    nodal trees of projective lines."""
-    if graph.vertex_count < 1:
-        return False
-    if len(graph.connected_components()) != 1:
-        return False
-    if graph.has_loop() or betti1(graph) != 0:
-        return False
-    return all(graph.smooth_p1)
+    nodal trees of projective lines.  A forest is connected exactly when
+    it has one edge fewer than vertices."""
+    return is_forest_of_lines(graph) and graph.edge_count == graph.vertex_count - 1
 
 
 def is_forest_of_lines(graph: DualGraph) -> bool:

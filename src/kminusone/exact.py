@@ -219,21 +219,6 @@ def _one_like(a: UniPoly, b: UniPoly) -> UniPoly:
     return UniPoly.const(Fraction(1))
 
 
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """p / gcd(p, p'), monic-normalized.
-
-    The degree of the result equals the number of distinct roots of p over
-    the algebraic closure (characteristic zero).
-    """
-    if p.is_zero():
-        raise ZeroPolynomial("squarefree_part of the zero polynomial")
-    d = p.derivative()
-    if d.is_zero():
-        return p.monic()
-    g = uni_gcd(p, d)
-    return (p // g).monic()
-
-
 def squarefree_decomposition(p: UniPoly):
     """Yun's algorithm: returns [(a_1, 1), (a_2, 2), ...] with
     p = lc * prod a_k^k, the a_k monic, squarefree and pairwise coprime.

@@ -70,21 +70,17 @@ class NewtonEdge:
 @dataclass(frozen=True)
 class BranchReport:
     order: int
-    cAn_index: int
     branch_count: int
-    isolated: bool
+
+    @property
+    def cAn_index(self) -> int:
+        """Index n of the cA_n point xy + g(z, w): ord(g) - 1."""
+        return self.order - 1
 
 
 # ---------------------------------------------------------------------------
 # basic germ predicates
 # ---------------------------------------------------------------------------
-
-def order_at_origin(g: BiPoly) -> int:
-    """min(a + b) over the support: the degree of the lowest term."""
-    if g.is_zero():
-        raise ZeroPolynomial("order of the zero polynomial")
-    return g.order()
-
 
 def is_isolated(g: BiPoly) -> bool:
     """True iff g is nonzero, vanishes at the origin, and is reduced there:
@@ -448,9 +444,7 @@ def branch_count(g: BiPoly) -> BranchReport:
         raise NotIsolated(
             "branch counting requires an isolated germ: vanishing at the "
             "origin, with no repeated factor through the origin")
-    order = g.order()
-    return BranchReport(order=order, cAn_index=order - 1,
-                        branch_count=_local_branch_total(g), isolated=True)
+    return BranchReport(g.order(), _local_branch_total(g))
 
 
 def branch_count_factored(factors) -> BranchReport:
@@ -475,7 +469,5 @@ def branch_count_factored(factors) -> BranchReport:
                 raise CommonFactor(
                     f"factors {i + 1} and {j + 1} share a common factor "
                     "through the origin")
-    order = sum(rep.order for rep in reports)
-    total = sum(rep.branch_count for rep in reports)
-    return BranchReport(order=order, cAn_index=order - 1, branch_count=total,
-                        isolated=True)
+    return BranchReport(sum(rep.order for rep in reports),
+                        sum(rep.branch_count for rep in reports))

@@ -20,25 +20,25 @@ from .germs import BranchReport, branch_count
 
 @dataclass(frozen=True)
 class LocalSingularity:
-    """An isolated cA_n point: index n, branch number br, and the rank of
-    the local class group Cl(O^_{X,p}) = Z^(br-1).
+    """An isolated cA_n point: index n and branch number br.
 
     ``n`` is None for raw branch-count input, where the index is not
     determined by the data.
     """
 
-    source: str
     n: Optional[int]
     br: int
-    cl_rank: int
 
     def __post_init__(self):
         if self.br < 1:
             raise ValueError("branch number must be >= 1")
-        if self.cl_rank != self.br - 1:
-            raise ValueError("local class group rank must equal br - 1")
         if self.n is not None and self.n < 0:
             raise ValueError("cA_n index must be >= 0")
+
+    @property
+    def cl_rank(self) -> int:
+        """Rank of the local class group Cl(O^_{X,p}) = Z^(br-1)."""
+        return self.br - 1
 
     @property
     def is_node(self) -> bool:
@@ -48,8 +48,7 @@ class LocalSingularity:
 def from_branch_report(rep: BranchReport) -> LocalSingularity:
     """The threefold germ xy + g(z, w) whose (z, w)-part has the branch
     report rep (of g, or of its factors taken together)."""
-    return LocalSingularity(source="germ", n=rep.cAn_index, br=rep.branch_count,
-                            cl_rank=rep.branch_count - 1)
+    return LocalSingularity(n=rep.cAn_index, br=rep.branch_count)
 
 
 def classify_cAn(g: BiPoly) -> LocalSingularity:
@@ -61,14 +60,12 @@ def classify_cAn(g: BiPoly) -> LocalSingularity:
 def from_branch_number(br: int) -> LocalSingularity:
     """A cA_n point known only through its branch number (raw input mode).
     The index is left undetermined."""
-    if br < 1:
-        raise ValueError("branch number must be >= 1")
-    return LocalSingularity(source="branches", n=None, br=br, cl_rank=br - 1)
+    return LocalSingularity(n=None, br=br)
 
 
 def ordinary_double_point() -> LocalSingularity:
     """The node xy + zw = 0."""
-    return LocalSingularity(source="node", n=1, br=2, cl_rank=1)
+    return LocalSingularity(n=1, br=2)
 
 
 def _check_ade(family: str, index: int):
@@ -107,8 +104,7 @@ def ade_lookup(family: str, index: int) -> LocalSingularity:
         br, n = (3 if index % 2 == 0 else 2), 2
     else:
         br, n = (2 if index == 7 else 1), 2
-    return LocalSingularity(source=f"ade:{family}{index}", n=n, br=br,
-                            cl_rank=br - 1)
+    return LocalSingularity(n=n, br=br)
 
 
 def ade_labels(k_values) -> list:

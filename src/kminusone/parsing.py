@@ -6,8 +6,9 @@ Grammar:
     factor := base ('^' nat)?
     base   := 'z' | 'w' | rational | '(' expr ')'
 
-Rational literals are integers or 'p/q' in ASCII digits; there is no
-division operator.  Errors carry 1-based line and column positions.
+Rational literals are integers or 'p/q' in ASCII digits, each number no
+longer than Python converts to an int (sys.get_int_max_str_digits());
+there is no division operator.  Errors carry 1-based line and column positions.
 Parentheses nest at most MAX_NESTING deep, and no sum, product or power
 may reach an exponent above MAX_EXPONENT or more than MAX_TERMS terms:
 beyond a limit the input is a syntax error at the operator, raised before
@@ -17,6 +18,7 @@ a product or power is computed and on the result of a sum.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -62,9 +64,15 @@ def _tokenize(text: str):
         elif num:
             if slash and not den:
                 raise PolySyntaxError("expected digits after '/'", line, m.end() - line_start + 1)
-            if den and not int(den):
+            try:
+                p, q = int(num), int(den or 1)
+            except ValueError:  # past Python's limit on digits converted to int
+                limit = sys.get_int_max_str_digits()
+                raise PolySyntaxError(f"number with more than {limit} digits",
+                                      line, col) from None
+            if not q:
                 raise PolySyntaxError("zero denominator", line, col)
-            tokens.append(_Token("number", Fraction(int(num), int(den or 1)), line, col))
+            tokens.append(_Token("number", Fraction(p, q), line, col))
     tokens.append(_Token("end", None, line, len(text) - line_start + 1))
     return tokens
 

@@ -39,12 +39,11 @@ class EnoughWeil(Enum):
 
 @dataclass(frozen=True)
 class VarietySpec:
-    """Global input record for a projective variety with isolated cA_n
+    """Global input record for a projective threefold with isolated cA_n
     singularities.  cl_rank >= pic_rank; the optional restriction matrix
     has one row per free generator of the local class groups (L rows) and
     one column per generator of Cl/Pic (delta columns)."""
 
-    dimension: int
     singularities: tuple
     pic_rank: int
     cl_rank: int
@@ -52,8 +51,6 @@ class VarietySpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.dimension not in (2, 3):
-            raise ValueError("dimension must be 2 or 3")
         if self.pic_rank < 0 or self.cl_rank < self.pic_rank:
             raise ValueError("need 0 <= pic_rank <= cl_rank")
         object.__setattr__(self, "singularities", tuple(self.singularities))
@@ -91,6 +88,19 @@ class GlobalReport:
             raise ValueError("rank of K_-1 must be L - delta")
 
 
+def _checked_cokernel(m: IntMatrix, name: str, shape: tuple, rank: int,
+                      rank_error: str) -> FinAbGroup:
+    """Cokernel of the restriction matrix m, which must have the given
+    shape and a cokernel of the given free rank."""
+    if (m.rows, m.cols) != shape:
+        raise MatrixShapeMismatch(
+            f"{name} must be {shape[0]} x {shape[1]}, got {m.rows} x {m.cols}")
+    k = cokernel(m)
+    if k.free_rank != rank:
+        raise MatrixNotInjective(rank_error)
+    return k
+
+
 def threefold_invariants(spec: VarietySpec) -> GlobalReport:
     """L, defect, K_-1 and the enough-Weil-divisors verdict of a threefold
     with isolated cA_n singularities.
@@ -101,9 +111,6 @@ def threefold_invariants(spec: VarietySpec) -> GlobalReport:
     L = 0 is the exception: the variety is factorial and has enough Weil
     divisors at the same time.
     """
-    if spec.dimension != 3:
-        raise ValueError("threefold_invariants needs a dimension-3 spec; "
-                         "surfaces go through surface_rank")
     L = spec.L
     delta = spec.defect
     if delta > L:
@@ -112,13 +119,8 @@ def threefold_invariants(spec: VarietySpec) -> GlobalReport:
             "cannot be injective, so the input is inconsistent")
     m = spec.restriction_matrix
     if m is not None:
-        if (m.rows, m.cols) != (L, delta):
-            raise MatrixShapeMismatch(
-                f"restriction matrix must be {L} x {delta}, got {m.rows} x {m.cols}")
-        k = cokernel(m)
-        if k.free_rank != L - delta:
-            raise MatrixNotInjective(
-                "restriction matrix does not have full column rank delta")
+        k = _checked_cokernel(m, "restriction matrix", (L, delta), L - delta,
+                              "restriction matrix does not have full column rank delta")
         ew = EnoughWeil.YES if k.is_trivial() else EnoughWeil.NO
         return GlobalReport(L, delta, k, ew, exact=True, nodal=spec.is_nodal)
     if L == 0:
@@ -168,7 +170,7 @@ def nodal_quadric_spec() -> VarietySpec:
     """The nodal quadric threefold xy - zw = 0 in P^4: Pic = Z (hyperplane),
     Cl = Z^2 (the two planes through the node), restriction map an
     isomorphism."""
-    return VarietySpec(dimension=3, singularities=(ordinary_double_point(),),
+    return VarietySpec(singularities=(ordinary_double_point(),),
                        pic_rank=1, cl_rank=2,
                        restriction_matrix=IntMatrix.from_rows([[1]]),
                        label="nodal-quadric")
@@ -178,7 +180,7 @@ def kawamata_p2p2_spec() -> VarietySpec:
     """Blow-up of two points on P^3 with the line through them contracted
     to a node (a nodal linear section of the Segre P^2 x P^2): Pic = Z^2,
     Cl = Z^3, maximally nonfactorial."""
-    return VarietySpec(dimension=3, singularities=(ordinary_double_point(),),
+    return VarietySpec(singularities=(ordinary_double_point(),),
                        pic_rank=2, cl_rank=3,
                        restriction_matrix=IntMatrix.from_rows([[1]]),
                        label="kawamata-p2p2")
@@ -200,27 +202,23 @@ def del_pezzo_spec(d: int) -> VarietySpec:
     r = del_pezzo_node_count(mu)
     res = small_resolution_rank(r, mu, 1, 1)
     sing = (ordinary_double_point(),) * r
-    return VarietySpec(dimension=3, singularities=sing, pic_rank=1,
+    return VarietySpec(singularities=sing, pic_rank=1,
                        cl_rank=1 + res.defect, label=f"del-pezzo-{d}")
 
 
 def del_pezzo_case(d: int) -> DelPezzoRow:
-    """One row of the del Pezzo threefold summary table, recomputed from
-    the blow-up description (mu = 8 - d points on Y = P^3, rho_Y = 1).
-    Only the d = 5 and d = 6 verdicts are stored: "?" remains open in
-    degree 5, and degree 6 is the P^2 x P^2-section example."""
+    """One row of the del Pezzo threefold summary table: the threefold
+    report of del_pezzo_spec(d), built from the blow-up description
+    (mu = 8 - d points on Y = P^3, rho_Y = 1), or of the catalog spec for
+    d = 6.  Only the d = 5 and d = 6 verdicts are stored: "?" remains
+    open in degree 5, and degree 6 is the P^2 x P^2-section example."""
     if not 1 <= d <= 6:
         raise OutOfRange("the summary table covers 1 <= d <= 6")
-    if d == 6:
-        spec = kawamata_p2p2_spec()
-        rep = threefold_invariants(spec)
-        return DelPezzoRow(6, len(spec.singularities), spec.pic_rank,
-                           spec.cl_rank, rep.k_minus_one.free_rank, "Yes")
-    mu = 8 - d
-    r = del_pezzo_node_count(mu)
-    res = small_resolution_rank(r, mu, 1, 1)
-    verdict = "No" if res.rank_k_minus_one > 0 else "Unknown"
-    return DelPezzoRow(d, r, 1, 1 + res.defect, res.rank_k_minus_one, verdict)
+    spec = kawamata_p2p2_spec() if d == 6 else del_pezzo_spec(d)
+    rank = threefold_invariants(spec).k_minus_one.free_rank
+    verdict = "Yes" if d == 6 else "No" if rank > 0 else "Unknown"
+    return DelPezzoRow(d, len(spec.singularities), spec.pic_rank, spec.cl_rank,
+                       rank, verdict)
 
 
 def del_pezzo_table() -> list:
@@ -275,13 +273,7 @@ def surface_k_minus_one(spec: SurfaceResolutionSpec):
     m = spec.restriction_matrix
     if m is None:
         return FinAbGroup.free(rank), rank == 0 and spec.is_smooth
-    if (m.rows, m.cols) != (spec.exceptional_components, spec.resolution_pic_rank):
-        raise MatrixShapeMismatch(
-            f"surface restriction matrix must be "
-            f"{spec.exceptional_components} x {spec.resolution_pic_rank}, "
-            f"got {m.rows} x {m.cols}")
-    k = cokernel(m)
-    if k.free_rank != rank:
-        raise MatrixNotInjective(
-            "matrix cokernel rank disagrees with the resolution rank data")
-    return k, True
+    shape = (spec.exceptional_components, spec.resolution_pic_rank)
+    return _checked_cokernel(m, "surface restriction matrix", shape, rank,
+                             "matrix cokernel rank disagrees with the resolution "
+                             "rank data"), True

@@ -152,10 +152,6 @@ def _catalog_certificate(spec: VarietySpec) -> Optional[Certificate]:
 
 
 def _decide_threefold(spec: VarietySpec) -> Verdict:
-    if spec.dimension != 3:
-        raise SpecValidationError(
-            "dimension", "decide() takes dimension-2 input as a "
-            "SurfaceResolutionSpec with resolution data")
     rep = threefold_invariants(spec)
     if spec.is_smooth:
         return smooth_verdict()

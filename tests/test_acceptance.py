@@ -284,8 +284,7 @@ def test_criterion_9_worked_example_verdicts():
         assert v.decision is Decision.YES
         assert v.certificate.kind is CertificateKind.KAWAMATA_P2P2_SECTION
 
-        cubic = VarietySpec(dimension=3,
-                            singularities=(ordinary_double_point(),),
+        cubic = VarietySpec(singularities=(ordinary_double_point(),),
                             pic_rank=2, cl_rank=2)
         v = decide(cubic)
         assert v.decision is Decision.NO
@@ -296,7 +295,7 @@ def test_criterion_9_worked_example_verdicts():
         assert v.decision is Decision.NO
         assert v.obstruction == FinAbGroup.free(3)
 
-        smooth = VarietySpec(dimension=3, singularities=(), pic_rank=1,
+        smooth = VarietySpec(singularities=(), pic_rank=1,
                              cl_rank=1)
         v = decide(smooth)
         assert v.decision is Decision.YES

@@ -24,7 +24,8 @@ FIELDS = [
 ]
 # cheap germs only: the property is about validation, not branch counting
 TEXTS = KINDS + ["z*w", "z^2 - w^3", "z^2*w + w^3", "z^2", "z^2 +", "z²", "0", "A",
-                 "D", "E", "nodal-quadric", "kawamata-p2p2", ""]
+                 "D", "E", "nodal-quadric", "kawamata-p2p2", "",
+                 "1" * 5000 + "*z*w"]  # past Python's int-from-text limit
 
 LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 9),
                    st.sampled_from(TEXTS), st.just(1.5))
@@ -102,7 +103,8 @@ def test_run_cli_exits_cleanly_on_any_document(doc, command, as_json):
     _check_clean(_run([command, "-"] + ["--json"] * as_json, json.dumps(doc)), as_json)
 
 
-@pytest.mark.parametrize("text", TEXTS)
+@pytest.mark.parametrize("text", TEXTS,
+                         ids=lambda t: t if len(t) < 40 else f"{t[:4]}...{t[-4:]}")
 def test_run_cli_exits_cleanly_on_any_germ_text(text):
     # each text as a germ argument, a singularity germ and a centre germ
     _check_clean(_run(["--json", "branches", text], ""), True)

@@ -16,13 +16,21 @@ from kminusone.exact import (
     invariant_factors,
     smith_normal_form,
     squarefree_decomposition,
-    squarefree_part,
     uni_gcd,
 )
 
 
 def U(*coeffs):
     return UniPoly.from_int_coeffs(coeffs)
+
+
+def squarefree_part(p: UniPoly) -> UniPoly:
+    """p / gcd(p, p'), monic: the product of the factors of Yun's
+    decomposition."""
+    out = U(1)
+    for a, _ in squarefree_decomposition(p):
+        out = out * a
+    return out
 
 
 class TestUniPoly:
@@ -253,12 +261,12 @@ class TestInjectivity:
         from kminusone.varieties import VarietySpec, threefold_invariants
 
         # 3 x 2 of rank 1 whose cokernel also has torsion: Z^2 + Z/2
-        spec = VarietySpec(3, (from_branch_number(4),), pic_rank=1, cl_rank=3,
+        spec = VarietySpec((from_branch_number(4),), pic_rank=1, cl_rank=3,
                            restriction_matrix=IntMatrix.from_rows(
                                [[2, 4], [4, 8], [-2, -4]]))
         with pytest.raises(MatrixNotInjective):
             threefold_invariants(spec)
-        full = VarietySpec(3, (from_branch_number(4),), pic_rank=1, cl_rank=3,
+        full = VarietySpec((from_branch_number(4),), pic_rank=1, cl_rank=3,
                            restriction_matrix=IntMatrix.from_rows(
                                [[2, 4], [4, 2], [-2, -4]]))
         assert threefold_invariants(full).k_minus_one == FinAbGroup(1, (2, 6))

@@ -31,20 +31,19 @@ from kminusone.germs import (
     is_isolated,
     is_squarefree,
     newton_polygon,
-    order_at_origin,
 )
 from kminusone.parsing import parse_polynomial as poly
 
 
 class TestOrder:
     def test_ade_rows(self):
-        assert order_at_origin(poly("z^2 + w^3")) == 2
-        assert order_at_origin(poly("z*w")) == 2
-        assert order_at_origin(poly("z^3 + z*w^3")) == 3
+        assert poly("z^2 + w^3").order() == 2
+        assert poly("z*w").order() == 2
+        assert poly("z^3 + z*w^3").order() == 3
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            order_at_origin(BiPoly.zero())
+            BiPoly.zero().order()
 
 
 # germs that are not squarefree globally but reduced at the origin, with

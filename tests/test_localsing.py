@@ -73,10 +73,12 @@ class TestKnorrerConsistency:
 
 class TestConstruction:
     def test_invariant_enforced(self):
+        # the local class group rank is br - 1 by construction
+        assert LocalSingularity(n=1, br=2).cl_rank == 1
         with pytest.raises(ValueError):
-            LocalSingularity(source="x", n=1, br=2, cl_rank=2)
+            LocalSingularity(n=1, br=0)
         with pytest.raises(ValueError):
-            LocalSingularity(source="x", n=1, br=0, cl_rank=-1)
+            LocalSingularity(n=-1, br=2)
 
     def test_raw_branch_number(self):
         s = from_branch_number(3)

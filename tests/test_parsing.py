@@ -1,6 +1,7 @@
 """Expression parsing and rendering round-trips."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,19 @@ class TestSyntaxErrors:
             with pytest.raises(PolySyntaxError, match="unexpected character") as info:
                 parse_polynomial(text)
             assert (info.value.line, info.value.column) == (1, column)
+
+    def test_number_past_int_digit_limit(self):
+        # int() refuses more digits than this; the error sits at the number
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("no int-from-text limit in this interpreter")
+        long = "1" * (limit + 1)
+        for text, position in ((long + "*z*w", (1, 1)), ("z*w + 3/" + long, (1, 7)),
+                               ("z*w +\n  " + long + "/2", (2, 3))):
+            with pytest.raises(PolySyntaxError, match=f"more than {limit} digits") as info:
+                parse_polynomial(text)
+            assert (info.value.line, info.value.column) == position
+        assert parse_polynomial(long[1:] + "*z*w").terms[(1, 1)] == int(long[1:])
 
 
 def _rejected_at(text, op):

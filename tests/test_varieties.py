@@ -43,7 +43,7 @@ class TestThreefoldInvariants:
 
     def test_factorial_one_node_cubic_blowup(self):
         # one node left after blowing up the other; Pic = Cl, so delta = 0
-        spec = VarietySpec(dimension=3, singularities=nodes(1),
+        spec = VarietySpec(singularities=nodes(1),
                            pic_rank=2, cl_rank=2)
         rep = threefold_invariants(spec)
         assert rep.k_minus_one == FinAbGroup.free(1)
@@ -53,14 +53,14 @@ class TestThreefoldInvariants:
     def test_nodal_hypersurface_with_defect(self):
         # r nodes, delta < r gives rank r - delta > 0
         for r, delta in [(2, 1), (5, 3), (10, 0)]:
-            spec = VarietySpec(dimension=3, singularities=nodes(r),
+            spec = VarietySpec(singularities=nodes(r),
                                pic_rank=1, cl_rank=1 + delta)
             rep = threefold_invariants(spec)
             assert rep.k_minus_one.free_rank == r - delta
             assert rep.enough_weil is EnoughWeil.NO
 
     def test_rank_zero_without_matrix_is_unverified(self):
-        spec = VarietySpec(dimension=3, singularities=nodes(2),
+        spec = VarietySpec(singularities=nodes(2),
                            pic_rank=1, cl_rank=3)
         rep = threefold_invariants(spec)
         assert rep.k_minus_one.is_trivial()
@@ -69,8 +69,7 @@ class TestThreefoldInvariants:
 
     def test_L_zero_is_factorial_and_enough(self):
         # branch number one everywhere: L = 0 forces both at once
-        spec = VarietySpec(dimension=3,
-                           singularities=(from_branch_number(1),) * 3,
+        spec = VarietySpec(singularities=(from_branch_number(1),) * 3,
                            pic_rank=1, cl_rank=1)
         rep = threefold_invariants(spec)
         assert rep.L == 0 and rep.delta == 0
@@ -78,14 +77,14 @@ class TestThreefoldInvariants:
 
     def test_matrix_decides_integrally(self):
         # L = 2, delta = 1, map (1, 2): cokernel Z (rank 1), not enough
-        spec = VarietySpec(dimension=3, singularities=nodes(2), pic_rank=1,
+        spec = VarietySpec(singularities=nodes(2), pic_rank=1,
                            cl_rank=2,
                            restriction_matrix=IntMatrix.from_rows([[1], [2]]))
         rep = threefold_invariants(spec)
         assert rep.k_minus_one == FinAbGroup.free(1)
         assert rep.enough_weil is EnoughWeil.NO
         # map (2, 2): cokernel Z + Z/2
-        spec2 = VarietySpec(dimension=3, singularities=nodes(2), pic_rank=1,
+        spec2 = VarietySpec(singularities=nodes(2), pic_rank=1,
                             cl_rank=2,
                             restriction_matrix=IntMatrix.from_rows([[2], [2]]))
         rep2 = threefold_invariants(spec2)
@@ -93,7 +92,7 @@ class TestThreefoldInvariants:
 
     def test_matrix_can_certify_torsion_obstruction(self):
         # delta = L = 1 but the map is multiplication by 2: K_-1 = Z/2
-        spec = VarietySpec(dimension=3, singularities=nodes(1), pic_rank=1,
+        spec = VarietySpec(singularities=nodes(1), pic_rank=1,
                            cl_rank=2,
                            restriction_matrix=IntMatrix.from_rows([[2]]))
         rep = threefold_invariants(spec)
@@ -101,29 +100,24 @@ class TestThreefoldInvariants:
         assert rep.enough_weil is EnoughWeil.NO
 
     def test_defect_exceeds_L_rejected(self):
-        spec = VarietySpec(dimension=3, singularities=nodes(1),
+        spec = VarietySpec(singularities=nodes(1),
                            pic_rank=1, cl_rank=3)
         with pytest.raises(DefectExceedsL):
             threefold_invariants(spec)
 
     def test_matrix_shape_mismatch(self):
-        spec = VarietySpec(dimension=3, singularities=nodes(2), pic_rank=1,
+        spec = VarietySpec(singularities=nodes(2), pic_rank=1,
                            cl_rank=2,
                            restriction_matrix=IntMatrix.from_rows([[1, 0]]))
         with pytest.raises(MatrixShapeMismatch):
             threefold_invariants(spec)
 
     def test_matrix_must_be_injective(self):
-        spec = VarietySpec(dimension=3, singularities=nodes(2), pic_rank=1,
+        spec = VarietySpec(singularities=nodes(2), pic_rank=1,
                            cl_rank=3,
                            restriction_matrix=IntMatrix.from_rows(
                                [[1, 1], [1, 1]]))
         with pytest.raises(MatrixNotInjective):
-            threefold_invariants(spec)
-
-    def test_dimension_two_refused(self):
-        spec = VarietySpec(dimension=2, singularities=(), pic_rank=1, cl_rank=1)
-        with pytest.raises(ValueError):
             threefold_invariants(spec)
 
     def test_report_invariant_randomized(self):
@@ -131,7 +125,7 @@ class TestThreefoldInvariants:
         for _ in range(100):
             r = rng.randint(0, 6)
             delta = rng.randint(0, r) if r else 0
-            spec = VarietySpec(dimension=3, singularities=nodes(r),
+            spec = VarietySpec(singularities=nodes(r),
                                pic_rank=1, cl_rank=1 + delta)
             rep = threefold_invariants(spec)
             assert 0 <= rep.delta <= rep.L
@@ -227,11 +221,7 @@ class TestSurfaces:
 class TestSpecValidation:
     def test_cl_at_least_pic(self):
         with pytest.raises(ValueError):
-            VarietySpec(dimension=3, singularities=(), pic_rank=2, cl_rank=1)
-
-    def test_dimension_checked(self):
-        with pytest.raises(ValueError):
-            VarietySpec(dimension=4, singularities=(), pic_rank=1, cl_rank=1)
+            VarietySpec(singularities=(), pic_rank=2, cl_rank=1)
 
     def test_kawamata_catalog_specs(self):
         for spec in (nodal_quadric_spec(), kawamata_p2p2_spec()):

@@ -90,7 +90,7 @@ class TestThreefoldDecisions:
         assert v.certificate.kind is CertificateKind.KAWAMATA_P2P2_SECTION
 
     def test_smooth_threefold_yes(self):
-        spec = VarietySpec(dimension=3, singularities=(), pic_rank=1, cl_rank=1)
+        spec = VarietySpec(singularities=(), pic_rank=1, cl_rank=1)
         assert decide(spec).decision is Decision.YES
 
     def test_del_pezzo_two_no_with_rank_ten(self):
@@ -104,14 +104,14 @@ class TestThreefoldDecisions:
         assert CHELTSOV_NOTE in v.notes
 
     def test_factorial_cubic_blowup_no_with_Z(self):
-        spec = VarietySpec(dimension=3, singularities=nodes(1),
+        spec = VarietySpec(singularities=nodes(1),
                            pic_rank=2, cl_rank=2)
         v = decide(spec)
         assert v.decision is Decision.NO
         assert v.obstruction == FinAbGroup.free(1)
 
     def test_enough_weil_verified_but_no_construction_is_unknown(self):
-        spec = VarietySpec(dimension=3, singularities=nodes(2), pic_rank=2,
+        spec = VarietySpec(singularities=nodes(2), pic_rank=2,
                            cl_rank=4,
                            restriction_matrix=IntMatrix.from_rows(
                                [[1, 0], [0, 1]]))
@@ -120,13 +120,13 @@ class TestThreefoldDecisions:
         assert v.k_minus_one is not None and v.k_minus_one.is_trivial()
 
     def test_label_with_wrong_invariants_rejected(self):
-        spec = VarietySpec(dimension=3, singularities=nodes(2), pic_rank=1,
+        spec = VarietySpec(singularities=nodes(2), pic_rank=1,
                            cl_rank=3, label="nodal-quadric")
         with pytest.raises(SpecValidationError):
             decide(spec)
 
     def test_torsion_obstruction_is_no(self):
-        spec = VarietySpec(dimension=3, singularities=nodes(1), pic_rank=1,
+        spec = VarietySpec(singularities=nodes(1), pic_rank=1,
                            cl_rank=2,
                            restriction_matrix=IntMatrix.from_rows([[2]]))
         v = decide(spec)
@@ -196,7 +196,7 @@ class TestSoundness:
         for _ in range(60):
             r = rng.randint(0, 5)
             delta = rng.randint(0, r) if r else 0
-            spec = VarietySpec(dimension=3, singularities=nodes(r),
+            spec = VarietySpec(singularities=nodes(r),
                                pic_rank=1, cl_rank=1 + delta)
             v = decide(spec)
             if v.decision is Decision.NO:
@@ -209,13 +209,13 @@ class TestSoundness:
         for _ in range(40):
             r = rng.randint(1, 4)
             delta = rng.randint(0, r - 1)
-            spec = VarietySpec(dimension=3, singularities=nodes(r),
+            spec = VarietySpec(singularities=nodes(r),
                                pic_rank=1, cl_rank=1 + delta)
             assert decide(spec).decision is Decision.NO
             entries = [[0] * delta for _ in range(r)]
             for j in range(delta):
                 entries[j][j] = rng.randint(1, 3)
-            refined = VarietySpec(dimension=3, singularities=nodes(r),
+            refined = VarietySpec(singularities=nodes(r),
                                   pic_rank=1, cl_rank=1 + delta,
                                   restriction_matrix=IntMatrix.from_rows(entries))
             assert decide(refined).decision is Decision.NO
