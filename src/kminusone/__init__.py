@@ -21,24 +21,12 @@ from .curves import (
     is_tree_of_lines,
 )
 from .errors import (
-    CommonFactor,
-    DefectExceedsL,
     ExtensionUnsupported,
-    InfiniteDimensionalSuspected,
     InputError,
     KMinusOneError,
-    MatrixNotInjective,
-    MatrixShapeMismatch,
-    MonomialGerm,
-    NegativeRank,
-    NegativeResult,
-    NotATree,
     NotIsolated,
-    OutOfRange,
     PolySyntaxError,
     SpecValidationError,
-    UnknownLabel,
-    ZeroPolynomial,
 )
 from .exact import (
     BiPoly,

@@ -342,7 +342,7 @@ def render_global_report(rep: GlobalReport, spec: VarietySpec) -> Report:
     """The threefold report of spec, with its label and the number of its
     singular points."""
     data = {"L": rep.L, "delta": rep.delta, "k_minus_one": _group(rep.k_minus_one),
-            "exact": rep.exact, "enough_weil": rep.enough_weil.value, "nodal": rep.nodal,
+            "exact": rep.exact, "enough_weil": rep.enough_weil.value, "nodal": spec.is_nodal,
             "label": spec.label, "singular_points": len(spec.singularities)}
     return Report(data, _global_lines)
 

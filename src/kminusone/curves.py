@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NegativeRank
+from .errors import InputError
 from .exact import FinAbGroup
 
 
@@ -129,7 +129,7 @@ def _piece_rank(piece: GeneralCurvePiece) -> int:
     sing = len(piece.branch_numbers)
     rank = br - sing - piece.irreducible_components + 1
     if rank < 0:
-        raise NegativeRank(
+        raise InputError(
             f"rank formula gives {rank} < 0; no genuine curve has this data")
     return rank
 

@@ -1,74 +1,30 @@
-"""Exception hierarchy.
+"""Exception hierarchy: the six classes the program tells apart.
 
-Everything raised on bad or unsupported input derives from KMinusOneError.
-InputError maps to CLI exit code 1, ExtensionUnsupported to exit code 2.
+- KMinusOneError: the base class; alone, a stated resource limit (exit code 1).
+- InputError: malformed, inconsistent or out-of-range input (exit code 1).
+- PolySyntaxError: an InputError at a line and column of a polynomial.
+- SpecValidationError: an InputError at a field path of a spec document.
+- NotIsolated: an InputError for a germ not isolated at the origin.
+- ExtensionUnsupported: a field extension that cannot be certified (exit 2).
+
+Record constructors such as DualGraph and VarietySpec raise ValueError
+when the library API is misused.
 """
 
 from __future__ import annotations
 
 
 class KMinusOneError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the errors this package raises (CLI exit code 1)."""
 
 
 class InputError(KMinusOneError):
-    """Malformed or inconsistent input (CLI exit code 1)."""
-
-
-class ZeroPolynomial(InputError):
-    """An operation that needs a nonzero polynomial received zero."""
-
-
-class MonomialGerm(InputError):
-    """The Newton polygon of a pure monomial has no compact edges."""
+    """Malformed, inconsistent or out-of-range input (CLI exit code 1)."""
 
 
 class NotIsolated(InputError):
-    """The germ does not define an isolated singularity (not squarefree,
-    constant, or not vanishing at the origin)."""
-
-
-class CommonFactor(InputError):
-    """Two germs that must be coprime share a nonunit factor."""
-
-
-class UnknownLabel(InputError):
-    """Not a valid ADE label."""
-
-
-class NegativeRank(InputError):
-    """A rank formula produced a negative value; the input data cannot
-    come from a genuine curve."""
-
-
-class NotATree(InputError):
-    """The dual graph is not a connected tree of smooth rational curves."""
-
-
-class InfiniteDimensionalSuspected(InputError):
-    """Path enumeration hit the length bound: the algebra is likely
-    infinite dimensional (non-tree input or insufficient bound)."""
-
-
-class DefectExceedsL(InputError):
-    """delta > L violates injectivity of Z^delta -> Z^L; inconsistent input."""
-
-
-class MatrixShapeMismatch(InputError):
-    """Restriction matrix shape disagrees with the singularity data."""
-
-
-class MatrixNotInjective(InputError):
-    """Restriction matrix does not have full column rank delta, so the
-    map Z^delta -> Z^L it encodes is not injective."""
-
-
-class NegativeResult(InputError):
-    """Bookkeeping formula produced a negative invariant; inconsistent input."""
-
-
-class OutOfRange(InputError):
-    """Parameter outside the supported range."""
+    """The germ does not vanish at the origin, or has a repeated factor
+    through the origin."""
 
 
 class PolySyntaxError(InputError):

@@ -20,10 +20,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ZeroPolynomial
+from .errors import InputError
 
 # Exact rational scalar: always reduced, denominator > 0.
 Rational = Fraction
+
+
+def power(x, n: int, one):
+    """x ** n for n >= 0 by square-and-multiply, starting from one."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        x = x * x if n else x  # no square past the last bit
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +79,7 @@ class UniPoly:
     @property
     def leading(self):
         if not self.coeffs:
-            raise ZeroPolynomial("the zero polynomial has no leading coefficient")
+            raise InputError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __bool__(self):
@@ -108,21 +121,12 @@ class UniPoly:
         return UniPoly(tuple(a * c for a in self.coeffs))
 
     def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _one_like(self, self)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            base = base * base if n else base  # no square past the last bit
-        return result
+        return power(self, n, _one_like(self, self))
 
     def divmod(self, other: "UniPoly"):
         """Exact field division with remainder."""
         if other.is_zero():
-            raise ZeroPolynomial("division by the zero polynomial")
+            raise InputError("division by the zero polynomial")
         if self.degree < other.degree:
             return UniPoly(), self
         rem = list(self.coeffs)
@@ -224,7 +228,7 @@ def squarefree_decomposition(p: UniPoly):
     p = lc * prod a_k^k, the a_k monic, squarefree and pairwise coprime.
     Factors with a_k constant are omitted."""
     if p.is_zero():
-        raise ZeroPolynomial("squarefree decomposition of the zero polynomial")
+        raise InputError("squarefree decomposition of the zero polynomial")
     p = p.monic()
     if p.degree <= 0:
         return []
@@ -342,21 +346,12 @@ class BiPoly:
         return out
 
     def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = BiPoly.constant(Fraction(1))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            base = base * base if n else base  # no square past the last bit
-        return result
+        return power(self, n, BiPoly.constant(Fraction(1)))
 
     def order(self) -> int:
         """Order at the origin: min(a + b) over the support."""
         if not self.terms:
-            raise ZeroPolynomial("order of the zero polynomial")
+            raise InputError("order of the zero polynomial")
         return min(a + b for a, b in self.terms)
 
     def vanishes_at_origin(self) -> bool:

@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .errors import ExtensionUnsupported, ZeroPolynomial
-from .exact import UniPoly, uni_ext_gcd
+from .errors import ExtensionUnsupported, InputError
+from .exact import UniPoly, power, uni_ext_gcd
 
 
 class NumberField:
@@ -150,16 +150,7 @@ class NFElem:
         return o * self.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self.inverse() if n < 0 else self, abs(n), self.field.one)
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -209,7 +200,7 @@ def rational_roots(p: UniPoly):
     """All rational roots of p, without multiplicity (p is assumed
     squarefree by callers, so multiplicities are 1 anyway)."""
     if p.is_zero():
-        raise ZeroPolynomial("roots of the zero polynomial")
+        raise InputError("roots of the zero polynomial")
     ints = to_integer_poly(p)
     # strip t^k: root 0
     roots = []

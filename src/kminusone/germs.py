@@ -25,14 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .errors import (
-    CommonFactor,
-    ExtensionUnsupported,
-    KMinusOneError,
-    MonomialGerm,
-    NotIsolated,
-    ZeroPolynomial,
-)
+from .errors import ExtensionUnsupported, InputError, KMinusOneError, NotIsolated
 from .exact import BiPoly, UniPoly, squarefree_decomposition, uni_gcd
 from .fields import NumberField, irreducible_factors
 
@@ -284,15 +277,15 @@ def _compact_edges(terms):
 def newton_polygon(g: BiPoly):
     """Compact edges of the Newton polygon after stripping monomial content.
 
-    Raises MonomialGerm when g is a pure monomial (no compact edges); that
+    Raises InputError when g is a pure monomial (no compact edges); that
     case is handled by branch_count directly through the content count.
     """
     if g.is_zero():
-        raise ZeroPolynomial("newton polygon of the zero polynomial")
+        raise InputError("newton polygon of the zero polynomial")
     if not g.vanishes_at_origin():
         raise NotIsolated("germ must vanish at the origin")
     if len(g.terms) == 1:
-        raise MonomialGerm("a pure monomial has no compact Newton polygon edges")
+        raise InputError("a pure monomial has no compact Newton polygon edges")
     _, _, stripped = _strip_monomial_content(g.terms)
     return _compact_edges(stripped)
 
@@ -382,12 +375,9 @@ def _roots_of_multiple_factor(fac: UniPoly, field):
             if d == 1:
                 out.append((field.from_rational(-irr.coeffs[0]), 1, field))
                 leftover = leftover // irr
-        if leftover.degree > 0:
-            raise ExtensionUnsupported(
-                "a multiple root needs a second field extension; "
-                "re-run with --factors supplying the irreducible factors")
-        return out
-    if fac.degree == 1:
+        if leftover.degree <= 0:
+            return out
+    elif fac.degree == 1:
         return [(-fac.coeffs[0] / fac.coeffs[1], 1, field)]
     raise ExtensionUnsupported(
         "a multiple root needs a second field extension; "
@@ -439,7 +429,7 @@ def branch_count(g: BiPoly) -> BranchReport:
     repeated or not, are units of the local ring and contribute nothing.
     """
     if g.is_zero():
-        raise ZeroPolynomial("branch count of the zero polynomial")
+        raise InputError("branch count of the zero polynomial")
     if not is_isolated(g):
         raise NotIsolated(
             "branch counting requires an isolated germ: vanishing at the "
@@ -454,11 +444,11 @@ def branch_count_factored(factors) -> BranchReport:
     misses the origin is a unit there and is allowed."""
     factors = list(factors)
     if not factors:
-        raise ZeroPolynomial("empty factor list")
+        raise InputError("empty factor list")
     reports = []
     for i, f in enumerate(factors):
         if f.is_zero():
-            raise ZeroPolynomial(f"factor {i + 1} is zero")
+            raise InputError(f"factor {i + 1} is zero")
         if not is_isolated(f):
             raise NotIsolated(f"factor {i + 1} is not an isolated germ")
         # right after is_isolated, so the memoised recursion is reused
@@ -466,7 +456,7 @@ def branch_count_factored(factors) -> BranchReport:
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             if bipoly_gcd(factors[i], factors[j]).vanishes_at_origin():
-                raise CommonFactor(
+                raise InputError(
                     f"factors {i + 1} and {j + 1} share a common factor "
                     "through the origin")
     return BranchReport(sum(rep.order for rep in reports),

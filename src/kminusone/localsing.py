@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import UnknownLabel
+from .errors import InputError
 from .exact import BiPoly
 from .germs import BranchReport, branch_count
 
@@ -72,7 +72,7 @@ def _check_ade(family: str, index: int):
     ok = (family == "A" and index >= 1) or (family == "D" and index >= 4) \
         or (family == "E" and index in (6, 7, 8))
     if not ok:
-        raise UnknownLabel(f"no ADE threefold singularity {family}{index}")
+        raise InputError(f"no ADE threefold singularity {family}{index}")
 
 
 def ade_germ(family: str, index: int) -> BiPoly:

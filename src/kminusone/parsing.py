@@ -10,9 +10,10 @@ Rational literals are integers or 'p/q' in ASCII digits, each number no
 longer than Python converts to an int (sys.get_int_max_str_digits());
 there is no division operator.  Errors carry 1-based line and column positions.
 Parentheses nest at most MAX_NESTING deep, and no sum, product or power
-may reach an exponent above MAX_EXPONENT or more than MAX_TERMS terms:
-beyond a limit the input is a syntax error at the operator, raised before
-a product or power is computed and on the result of a sum.
+may reach an exponent above MAX_EXPONENT or more than MAX_TERMS terms, nor
+a product or power a coefficient above 2^MAX_COEFFICIENT_BITS: beyond a
+limit the input is a syntax error at the operator, raised before a product
+or power is computed and on the result of a sum.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import PolySyntaxError
 from .exact import BiPoly
@@ -33,9 +34,13 @@ MAX_NESTING = 100
 # Stated limits on germ size, checked at each operator.
 # `branches` on z^n - w^n builds a degree-n polynomial (n = 400,000: 4.9 s,
 # 88 MB; germ-scan's largest exponent is 300,001); a product of t-term
-# polynomials costs ~t^2 coefficient products ((1+z)^499: 0.6 s).
+# polynomials costs ~t^2 coefficient products ((1+z)^499: 0.6 s), more with
+# long coefficients ((2^31*(1+z))^499, near the bit limit: 3 s; unchecked,
+# (2^8000)^8000 took 0.5 s and 54 MB).  The bit limit admits any literal
+# Python reads: 4,300 digits by default, 14,284 bits.
 MAX_EXPONENT = 400_000
 MAX_TERMS = 500
+MAX_COEFFICIENT_BITS = 16_384
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,7 @@ class _Parser:
             op = self.advance()
             factor = self.parse_factor()
             _check_size(op, len(result.terms) * len(factor.terms),
-                        *map(sum, zip(_degrees(result), _degrees(factor))))
+                        *map(sum, zip(_size(result), _size(factor))))
             result = result * factor
         return result
 
@@ -142,7 +147,7 @@ class _Parser:
                 raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", op.line, op.column)
             # the n-th power of k terms has at most comb(n + k - 1, k - 1) terms
             _check_size(op, comb(n + k - 1, k - 1) if k else 1,
-                        *(n * d for d in _degrees(base)))
+                        *(n * d for d in _size(base)))
             return base ** n
         return base
 
@@ -173,18 +178,26 @@ class _Parser:
             tok.line, tok.column)
 
 
-def _degrees(p: BiPoly) -> tuple:
-    """The largest exponents of z and of w in p."""
-    return tuple(map(max, zip(*p.terms, (0, 0))))
+def _size(p: BiPoly) -> tuple:
+    """Bounds that add under products and scale by n under n-th powers: the
+    largest exponents of z and w in p, and ceil(log2) of the common
+    denominator D of its coefficients c and of the sum of the |D * c|."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    num = sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())
+    return (*map(max, zip(*p.terms, (0, 0))), max(num - 1, 0).bit_length(),
+            (den - 1).bit_length())
 
 
-def _check_size(op: _Token, terms: int, z_degree: int, w_degree: int) -> None:
+def _check_size(op: _Token, terms: int, z_degree: int, w_degree: int, *bits) -> None:
     """Raise at op when its result, with at most terms terms and these
-    degrees in z and w, could pass MAX_EXPONENT or MAX_TERMS."""
+    degrees and bits (see _size), could pass a size limit."""
     if max(z_degree, w_degree) > MAX_EXPONENT:
         raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", op.line, op.column)
     if min(terms, (z_degree + 1) * (w_degree + 1)) > MAX_TERMS:
         raise PolySyntaxError(f"more than {MAX_TERMS} terms", op.line, op.column)
+    if max(bits) > MAX_COEFFICIENT_BITS:
+        raise PolySyntaxError(f"a coefficient above 2^{MAX_COEFFICIENT_BITS}",
+                              op.line, op.column)
 
 
 def parse_polynomial(text: str) -> BiPoly:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import DualGraph, is_tree_of_lines
-from .errors import InfiniteDimensionalSuspected, NotATree
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def doubled_quiver(graph: DualGraph) -> QuiverWithRelations:
     """Doubled quiver of a loop-free graph with the back-and-forth
     compositions killed; no connectivity requirement (used for forests)."""
     if graph.has_loop():
-        raise NotATree("the dual graph has a loop")
+        raise InputError("the dual graph has a loop")
     arrows = []
     relations = []
     single = graph.edge_count == 1
@@ -94,23 +94,19 @@ def burban_quiver(tree: DualGraph) -> QuiverWithRelations:
     """Quiver with relations of the tilting algebra of a nodal tree of
     projective lines."""
     if not is_tree_of_lines(tree):
-        raise NotATree(
+        raise InputError(
             "input must be a connected loop-free tree of smooth rational curves")
     return doubled_quiver(tree)
 
 
-def algebra_basis(quiver: QuiverWithRelations, length_bound=None) -> AlgebraBasis:
-    """All nonzero paths of length < length_bound (default: vertex count).
+def algebra_basis(quiver: QuiverWithRelations) -> AlgebraBasis:
+    """All nonzero paths of length below the vertex count.
 
-    If a valid path of length exactly length_bound exists, the algebra is
+    If a valid path as long as the vertex count exists, the algebra is
     suspected infinite dimensional (a non-backtracking walk that long in
-    a doubled tree cannot exist) and InfiniteDimensionalSuspected is
-    raised instead of returning a truncated basis.
+    a doubled tree cannot exist) and InputError is raised instead of
+    returning a truncated basis.
     """
-    if length_bound is None:
-        length_bound = quiver.vertices
-    if length_bound < quiver.vertices:
-        raise ValueError("length bound must be at least the vertex count")
     forbidden = set(quiver.relations)
     by_source = {}
     for idx, a in enumerate(quiver.arrows):
@@ -128,9 +124,9 @@ def algebra_basis(quiver: QuiverWithRelations, length_bound=None) -> AlgebraBasi
                     continue
                 nxt.append(BasisPath(p.source, quiver.arrows[idx].target,
                                      p.arrows + (idx,)))
-        if nxt and length >= length_bound:
-            raise InfiniteDimensionalSuspected(
-                f"a nonzero path of length {length_bound} exists; "
+        if nxt and length >= quiver.vertices:
+            raise InputError(
+                f"a nonzero path of length {quiver.vertices} exists; "
                 "non-tree input or insufficient length bound")
         paths.extend(nxt)
         frontier = nxt

@@ -20,13 +20,7 @@ from enum import Enum
 from math import comb
 from typing import Optional
 
-from .errors import (
-    DefectExceedsL,
-    MatrixNotInjective,
-    MatrixShapeMismatch,
-    NegativeResult,
-    OutOfRange,
-)
+from .errors import InputError
 from .exact import FinAbGroup, IntMatrix, cokernel
 from .localsing import ordinary_double_point
 
@@ -79,7 +73,6 @@ class GlobalReport:
     k_minus_one: FinAbGroup
     enough_weil: EnoughWeil
     exact: bool  # True when K_-1 is known integrally, not just its rank
-    nodal: bool = False
 
     def __post_init__(self):
         if not (0 <= self.delta <= self.L):
@@ -93,11 +86,11 @@ def _checked_cokernel(m: IntMatrix, name: str, shape: tuple, rank: int,
     """Cokernel of the restriction matrix m, which must have the given
     shape and a cokernel of the given free rank."""
     if (m.rows, m.cols) != shape:
-        raise MatrixShapeMismatch(
+        raise InputError(
             f"{name} must be {shape[0]} x {shape[1]}, got {m.rows} x {m.cols}")
     k = cokernel(m)
     if k.free_rank != rank:
-        raise MatrixNotInjective(rank_error)
+        raise InputError(rank_error)
     return k
 
 
@@ -114,7 +107,7 @@ def threefold_invariants(spec: VarietySpec) -> GlobalReport:
     L = spec.L
     delta = spec.defect
     if delta > L:
-        raise DefectExceedsL(
+        raise InputError(
             f"defect {delta} exceeds L = {L}: the map Z^delta -> Z^L "
             "cannot be injective, so the input is inconsistent")
     m = spec.restriction_matrix
@@ -122,18 +115,16 @@ def threefold_invariants(spec: VarietySpec) -> GlobalReport:
         k = _checked_cokernel(m, "restriction matrix", (L, delta), L - delta,
                               "restriction matrix does not have full column rank delta")
         ew = EnoughWeil.YES if k.is_trivial() else EnoughWeil.NO
-        return GlobalReport(L, delta, k, ew, exact=True, nodal=spec.is_nodal)
+        return GlobalReport(L, delta, k, ew, exact=True)
     if L == 0:
         # factorial and with enough Weil divisors at the same time
-        return GlobalReport(0, 0, FinAbGroup.trivial(), EnoughWeil.YES,
-                            exact=True, nodal=spec.is_nodal)
+        return GlobalReport(0, 0, FinAbGroup.trivial(), EnoughWeil.YES, exact=True)
     k = FinAbGroup.free(L - delta)
     if delta < L:
         ew = EnoughWeil.NO
         # delta = 0 makes the sequence split off nothing: K_-1 = Z^L exactly
-        return GlobalReport(L, delta, k, ew, exact=(delta == 0), nodal=spec.is_nodal)
-    return GlobalReport(L, delta, k, EnoughWeil.RANK_ZERO_UNVERIFIED,
-                        exact=False, nodal=spec.is_nodal)
+        return GlobalReport(L, delta, k, ew, exact=(delta == 0))
+    return GlobalReport(L, delta, k, EnoughWeil.RANK_ZERO_UNVERIFIED, exact=False)
 
 
 @dataclass(frozen=True)
@@ -147,11 +138,11 @@ def small_resolution_rank(r: int, mu: int, rho_x: int, rho_y: int) -> SmallResol
     nodes whose small resolution is the blow-up of mu points on a smooth
     Y; the defect is mu + rho_Y - rho_X."""
     if r < 0 or mu < 0:
-        raise NegativeResult("node and point counts must be >= 0")
+        raise InputError("node and point counts must be >= 0")
     rank = r - mu + rho_x - rho_y
     delta = mu + rho_y - rho_x
     if rank < 0 or delta < 0:
-        raise NegativeResult(
+        raise InputError(
             f"rank {rank}, defect {delta}: inconsistent small-resolution data")
     return SmallResolutionRank(rank, delta)
 
@@ -197,7 +188,7 @@ def del_pezzo_spec(d: int) -> VarietySpec:
     """Rank-only VarietySpec of the del Pezzo threefold of degree d with
     maximal class group rank (1 <= d <= 5)."""
     if not 1 <= d <= 5:
-        raise OutOfRange("del Pezzo blow-up description covers 1 <= d <= 5")
+        raise InputError("del Pezzo blow-up description covers 1 <= d <= 5")
     mu = 8 - d
     r = del_pezzo_node_count(mu)
     res = small_resolution_rank(r, mu, 1, 1)
@@ -213,7 +204,7 @@ def del_pezzo_case(d: int) -> DelPezzoRow:
     d = 6.  Only the d = 5 and d = 6 verdicts are stored: "?" remains
     open in degree 5, and degree 6 is the P^2 x P^2-section example."""
     if not 1 <= d <= 6:
-        raise OutOfRange("the summary table covers 1 <= d <= 6")
+        raise InputError("the summary table covers 1 <= d <= 6")
     spec = kawamata_p2p2_spec() if d == 6 else del_pezzo_spec(d)
     rank = threefold_invariants(spec).k_minus_one.free_rank
     verdict = "Yes" if d == 6 else "No" if rank > 0 else "Unknown"
@@ -231,11 +222,10 @@ def surface_rank(rho_x: int, rho_resolution: int, n_exceptional: int) -> int:
     0 -> Pic(X) -> Pic(X~) -> Pic(E) -> K_-1(X) -> 0 with Pic(E) = Z^N
     gives N - (rho(X~) - rho(X))."""
     if rho_resolution < rho_x:
-        raise NegativeResult("the resolution Picard rank cannot drop")
+        raise InputError("the resolution Picard rank cannot drop")
     rank = n_exceptional - (rho_resolution - rho_x)
     if rank < 0:
-        raise NegativeResult(
-            f"rank {rank} < 0: inconsistent surface resolution data")
+        raise InputError(f"rank {rank} < 0: inconsistent surface resolution data")
     return rank
 
 

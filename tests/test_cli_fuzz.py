@@ -25,7 +25,8 @@ FIELDS = [
 # cheap germs only: the property is about validation, not branch counting
 TEXTS = KINDS + ["z*w", "z^2 - w^3", "z^2*w + w^3", "z^2", "z^2 +", "z²", "0", "A",
                  "D", "E", "nodal-quadric", "kawamata-p2p2", "",
-                 "1" * 5000 + "*z*w"]  # past Python's int-from-text limit
+                 "1" * 5000 + "*z*w",  # past Python's int-from-text limit
+                 "(2^16000)^16000*z*w"]  # past the coefficient limit
 
 LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 9),
                    st.sampled_from(TEXTS), st.just(1.5))

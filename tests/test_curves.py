@@ -13,7 +13,7 @@ from kminusone.curves import (
     is_forest_of_lines,
     is_tree_of_lines,
 )
-from kminusone.errors import NegativeRank
+from kminusone.errors import InputError
 from kminusone.exact import FinAbGroup
 
 
@@ -99,7 +99,7 @@ class TestCurveKMinusOne:
 
     def test_negative_rank_rejected(self):
         # two components, no singular points, claimed connected: impossible
-        with pytest.raises(NegativeRank):
+        with pytest.raises(InputError, match="rank formula gives -1 < 0"):
             curve_k_minus_one(CurveSpec(pieces=(GeneralCurvePiece(2, ()),)))
 
 

@@ -1,4 +1,5 @@
-"""Each narrative demo runs to completion in a fresh interpreter."""
+"""Each narrative demo runs to completion in a fresh interpreter and prints
+exactly the output recorded in tests/data/demos/<demo>.txt."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
+EXPECTED = ROOT / "tests" / "data" / "demos"
 
 
 def test_all_demos_found():
@@ -21,6 +23,6 @@ def test_demo_exits_zero(demo):
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (EXPECTED / f"{demo.stem}.txt").read_bytes()

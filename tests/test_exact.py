@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import kminusone.exact as exact
-from kminusone.errors import MatrixNotInjective, ZeroPolynomial
+from kminusone.errors import InputError
 from kminusone.exact import (
     BiPoly,
     FinAbGroup,
@@ -70,7 +70,7 @@ class TestSquarefreePart:
         assert squarefree_part(U(0, 0, -1, 1)) == U(0, -1, 1)
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(InputError, match="squarefree decomposition of the zero"):
             squarefree_part(U())
 
     def test_square_invariance(self):
@@ -253,7 +253,7 @@ class TestTransformFreeRoute:
 
 
 class TestInjectivity:
-    """MatrixNotInjective keeps firing now that the check reads the rank
+    """The injectivity check keeps firing now that it reads the rank
     off the one cokernel computation."""
 
     def test_rank_deficient_threefold_matrix(self):
@@ -264,7 +264,7 @@ class TestInjectivity:
         spec = VarietySpec((from_branch_number(4),), pic_rank=1, cl_rank=3,
                            restriction_matrix=IntMatrix.from_rows(
                                [[2, 4], [4, 8], [-2, -4]]))
-        with pytest.raises(MatrixNotInjective):
+        with pytest.raises(InputError, match="does not have full column rank delta"):
             threefold_invariants(spec)
         full = VarietySpec((from_branch_number(4),), pic_rank=1, cl_rank=3,
                            restriction_matrix=IntMatrix.from_rows(
@@ -278,7 +278,7 @@ class TestInjectivity:
         spec = SurfaceResolutionSpec(
             pic_rank=1, resolution_pic_rank=3, exceptional_components=2,
             restriction_matrix=IntMatrix.from_rows([[3, 6, 0], [-1, -2, 0]]))
-        with pytest.raises(MatrixNotInjective):
+        with pytest.raises(InputError, match="matrix cokernel rank disagrees"):
             surface_k_minus_one(spec)
 
 
@@ -353,5 +353,5 @@ class TestBiPoly:
         assert (z + w) ** 2 == z * z + z * w * BiPoly.constant(Fraction(2)) + w * w
 
     def test_zero_order_rejected(self):
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(InputError, match="order of the zero polynomial"):
             BiPoly.zero().order()

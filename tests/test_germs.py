@@ -14,13 +14,7 @@ from math import gcd
 import pytest
 
 from kminusone import germs
-from kminusone.errors import (
-    CommonFactor,
-    ExtensionUnsupported,
-    MonomialGerm,
-    NotIsolated,
-    ZeroPolynomial,
-)
+from kminusone.errors import ExtensionUnsupported, InputError, NotIsolated
 from kminusone.exact import BiPoly, UniPoly
 from kminusone.fields import NumberField
 from kminusone.germs import (
@@ -42,7 +36,7 @@ class TestOrder:
         assert poly("z^3 + z*w^3").order() == 3
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(InputError, match="order of the zero polynomial"):
             BiPoly.zero().order()
 
 
@@ -123,7 +117,7 @@ class TestNewtonPolygon:
         assert [e.lattice_length for e in edges] == [2, 1]
 
     def test_monomial_rejected(self):
-        with pytest.raises(MonomialGerm):
+        with pytest.raises(InputError, match="a pure monomial has no compact"):
             newton_polygon(poly("z^2*w"))
 
     def test_edge_degree_equals_lattice_length(self):
@@ -318,7 +312,7 @@ class TestFactoredInput:
         assert rep.branch_count == 3
 
     def test_common_factor_rejected(self):
-        with pytest.raises(CommonFactor):
+        with pytest.raises(InputError, match="factors 1 and 2 share a common factor"):
             branch_count_factored([poly("z*w"), poly("w*(z + w)")])
 
     def test_common_factor_away_from_origin_allowed(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from kminusone.errors import UnknownLabel
+from kminusone.errors import InputError
 from kminusone.germs import branch_count
 from kminusone.localsing import (
     LocalSingularity,
@@ -43,9 +43,10 @@ class TestCatalog:
 
     def test_unknown_labels(self):
         for family, index in [("A", 0), ("D", 3), ("E", 5), ("E", 9), ("F", 4)]:
-            with pytest.raises(UnknownLabel):
+            message = f"no ADE threefold singularity {family}{index}"
+            with pytest.raises(InputError, match=message):
                 ade_lookup(family, index)
-            with pytest.raises(UnknownLabel):
+            with pytest.raises(InputError, match=message):
                 ade_germ(family, index)
 
     def test_classification_reproduces_catalog(self):

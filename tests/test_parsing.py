@@ -8,8 +8,8 @@ import pytest
 
 from kminusone.errors import PolySyntaxError
 from kminusone.exact import BiPoly
-from kminusone.parsing import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, parse_polynomial, \
-    render_polynomial
+from kminusone.parsing import MAX_COEFFICIENT_BITS, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, \
+    parse_polynomial, render_polynomial
 
 
 class TestParse:
@@ -140,12 +140,29 @@ class TestSizeLimits:
         # the bound uses the degrees too: this product has 302 terms
         assert len(parse_polynomial("(1+z)^300*(1+z)").terms) == 302
 
+    def test_coefficient_limit(self):
+        # numerators and denominators may reach 2^MAX_COEFFICIENT_BITS
+        bits = MAX_COEFFICIENT_BITS
+        assert parse_polynomial(f"2^{bits}*z*w").terms == {(1, 1): 2 ** bits}
+        assert parse_polynomial(f"(1/2)^{bits}*z").terms == {(1, 0): Fraction(1, 2 ** bits)}
+        # the bound counts the binomial coefficients: 2^16376 * 70 < 2^16384
+        assert len(parse_polynomial("(2^2047*(z + w))^8").terms) == 9
+        assert parse_polynomial(f"(z - z)^{bits + 1}*z").is_zero()
+        message = f"a coefficient above 2^{bits}"
+        for text, op in ((f"2^{bits + 1}", "^"), (f"2^{bits}*2*z", "*"),
+                         (f"(1/2)^{bits}*(1/2)", "*"), ("(2^2048*(z + w))^8", ")^"),
+                         ("(2^32*(1+z))^499", ")^"), ("(2^8000)^8000*z*w", ")^"),
+                         ("(2^16000)^16000*z*w", ")^"), ("(2^400000)^400000", "^")):
+            assert message in _rejected_at(text, op)
+
     def test_limits_reject_before_computing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("computed past a limit")
         monkeypatch.setattr(BiPoly, "__pow__", refuse)
         monkeypatch.setattr(BiPoly, "__mul__", refuse)
         _rejected_at("(1+z+w)^150*z", "^")
+        _rejected_at(f"(z + z)^{MAX_COEFFICIENT_BITS + 1}", ")^")
+        _rejected_at(f"1/{'9' * 4000}*1/{'9' * 4000}*z", "*")
 
 
 class TestRoundTrip:
