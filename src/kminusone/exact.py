@@ -7,9 +7,11 @@ and all operations are pure functions.
 
 Rank, determinant, invariant factors and cokernels build no transforms:
 a fraction-free Bareiss pass gives the rank r and a nonzero r x r minor
-D, and gcd-based elimination over Z/DZ gives the invariant factors as
-gcd(pivot, D) (Domich, Kannan and Trotter 1987; Cohen, A Course in
-Computational Algebraic Number Theory, Alg. 2.4.14).  Only
+D, and gcd-based elimination over Z/RZ gives the invariant factors as
+gcd(pivot, R) (Domich, Kannan and Trotter 1987; Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 2.4.14), where R is D or, for
+a square nonsingular matrix, the certified-exponent modulus (Abbott,
+Bronstein and Mulders 1999; Eberly, Giesbrecht and Villard 2000).  Only
 ``smith_normal_form`` builds U and V: for the ``snf`` command, and for
 ``FinAbGroup.direct_sum`` of two torsion chains.
 """
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import InputError
 
@@ -450,17 +453,19 @@ class IntMatrix:
         """Determinant, from the Bareiss pass that also gives the rank."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        r, minor = _bareiss(self)
+        r, minor, _ = _bareiss(self)
         return minor if r == self.rows else 0
 
     def rank(self) -> int:
         return _bareiss(self)[0]
 
 
-def _bareiss(m: IntMatrix):
-    """(rank r, a nonzero r x r minor) by fraction-free Bareiss elimination;
-    for a square matrix of full rank the minor is the determinant."""
+def _bareiss(m: IntMatrix, extra=()):
+    """(rank r, a nonzero r x r minor, the echelon rows) by fraction-free
+    Bareiss elimination, row i carrying extra[i] along unpivoted; for a
+    square matrix of full rank the minor is the determinant."""
     a, prev, sign, r = m.to_rows(), 1, 1, 0
+    a = [row + e for row, e in zip(a, extra)] if extra else a
     for c in range(m.cols):
         p = next((i for i in range(r, m.rows) if a[i][c]), None)
         if p is None:
@@ -472,7 +477,12 @@ def _bareiss(m: IntMatrix):
             row[c + 1:] = [(v * piv - x * u) // prev
                            for u, v in zip(prow[c + 1:], row[c + 1:])]
         prev, r = piv, r + 1
-    return r, sign * prev
+    return r, sign * prev, a
+
+
+def _probe_columns(n: int) -> list:
+    """n rows of two probe entries: powers of 48271 mod 2^31 - 1 (Park-Miller)."""
+    return [[pow(48271, 2 * i + 1, 2**31 - 1), pow(48271, 2 * i + 2, 2**31 - 1)] for i in range(n)]
 
 
 def _chain(values) -> list:
@@ -521,9 +531,32 @@ def _pivot_gcds(a, R: int) -> list:
 
 def invariant_factors(m: IntMatrix) -> tuple:
     """The invariant factors d1 | d2 | ... | dr of M, r = rank M, without
-    transforms; len() of the result is the rank."""
-    r, minor = _bareiss(m)
-    return tuple(_chain(_pivot_gcds(m.to_rows(), abs(minor)))[:r])
+    transforms; len() of the result is the rank.
+
+    Elimination modulo R gives ei = gcd(di, R) (Domich-Kannan-Trotter): exact
+    for R = |D|, which every di divides.  A square nonsingular M uses the
+    certified-exponent modulus instead, a multiple of dn with far fewer bits
+    (Abbott-Bronstein-Mulders, Eberly-Giesbrecht-Villard).  (1) Bareiss carries
+    probe columns b.  y = D * M^-1 * b and dn * M^-1 = V * diag(dn / di) * U,
+    for U * M * V = diag(di), are integral, so D divides dn * y and dn * D:
+    C = |D| / gcd(D, y) divides dn.  (2) For R = C, prod ei = |D| means ei = di
+    for all i, as ei divides di.  Otherwise en = C and dn / en divides
+    |D| / prod ei, so R = C * |D| / prod ei is a multiple of dn.
+    """
+    r, minor, a = _bareiss(m, _probe_columns(m.rows) if m.rows == m.cols else ())
+    R = abs(minor)
+    if r == m.rows == m.cols:
+        y = []  # D * M^-1 * b for each probe b: back substitution divides exactly
+        for c in map(list, zip(*(row[r:] for row in a))):
+            for i in reversed(range(r)):
+                c[i] = (minor * c[i] - sum(map(mul, a[i][i + 1:r], c[i + 1:]))) // a[i][i]
+            y += c
+        C = R // gcd(minor, *y)
+        e = _pivot_gcds(m.to_rows(), C)
+        if prod(e) == R:
+            return tuple(_chain(e))
+        R = C * R // prod(e)
+    return tuple(_chain(_pivot_gcds(m.to_rows(), R))[:r])
 
 
 def smith_normal_form(m: IntMatrix):

@@ -11,9 +11,10 @@ longer than Python converts to an int (sys.get_int_max_str_digits());
 there is no division operator.  Errors carry 1-based line and column positions.
 Parentheses nest at most MAX_NESTING deep, and no sum, product or power
 may reach an exponent above MAX_EXPONENT or more than MAX_TERMS terms, nor
-a product or power a coefficient above 2^MAX_COEFFICIENT_BITS: beyond a
-limit the input is a syntax error at the operator, raised before a product
-or power is computed and on the result of a sum.
+any of them a coefficient above 2^MAX_COEFFICIENT_BITS: beyond a limit the
+input is a syntax error at the operator, raised before a product, power or
+sum is computed, except for the term count of a sum, which is checked on
+its result.
 """
 
 from __future__ import annotations
@@ -112,9 +113,12 @@ class _Parser:
         result = self.parse_term()
         if sign < 0:
             result = -result
+        weight = None  # a bound on the sum's _weight, kept term by term
         while self.cur.kind in "+-":
             op = self.advance()
             term = self.parse_term()
+            weight = _weight(term, *(weight or _weight(result)))
+            _check_bits(op, _bits(max(weight)))
             result = result + term if op.kind == "+" else result - term
             if len(result.terms) > MAX_TERMS:  # checked after: a sum costs no more
                 raise PolySyntaxError(f"more than {MAX_TERMS} terms", op.line, op.column)
@@ -178,14 +182,26 @@ class _Parser:
             tok.line, tok.column)
 
 
+def _weight(p: BiPoly, num: int = 0, den: int = 1) -> tuple:
+    """(the sum of the |D * c|, D) for the least common denominator D of the
+    coefficients c of p, continued from the weight (num, den) of other terms."""
+    for c in p.terms.values():
+        d = c.denominator
+        common = lcm(den, d)
+        num, den = num * (common // den) + abs(c.numerator) * (common // d), common
+    return num, den
+
+
+def _bits(x: int) -> int:
+    """ceil(log2(x)) for x >= 1, and 0 for x = 0."""
+    return max(x - 1, 0).bit_length()
+
+
 def _size(p: BiPoly) -> tuple:
     """Bounds that add under products and scale by n under n-th powers: the
-    largest exponents of z and w in p, and ceil(log2) of the common
-    denominator D of its coefficients c and of the sum of the |D * c|."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    num = sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())
-    return (*map(max, zip(*p.terms, (0, 0))), max(num - 1, 0).bit_length(),
-            (den - 1).bit_length())
+    largest exponents of z and w in p, and the _bits of both parts of its
+    _weight."""
+    return (*map(max, zip(*p.terms, (0, 0))), *map(_bits, _weight(p)))
 
 
 def _check_size(op: _Token, terms: int, z_degree: int, w_degree: int, *bits) -> None:
@@ -195,6 +211,10 @@ def _check_size(op: _Token, terms: int, z_degree: int, w_degree: int, *bits) -> 
         raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", op.line, op.column)
     if min(terms, (z_degree + 1) * (w_degree + 1)) > MAX_TERMS:
         raise PolySyntaxError(f"more than {MAX_TERMS} terms", op.line, op.column)
+    _check_bits(op, *bits)
+
+
+def _check_bits(op: _Token, *bits) -> None:
     if max(bits) > MAX_COEFFICIENT_BITS:
         raise PolySyntaxError(f"a coefficient above 2^{MAX_COEFFICIENT_BITS}",
                               op.line, op.column)

@@ -126,8 +126,7 @@ def algebra_basis(quiver: QuiverWithRelations) -> AlgebraBasis:
                                      p.arrows + (idx,)))
         if nxt and length >= quiver.vertices:
             raise InputError(
-                f"a nonzero path of length {quiver.vertices} exists; "
-                "non-tree input or insufficient length bound")
+                f"a nonzero path of length {quiver.vertices} exists; non-tree input")
         paths.extend(nxt)
         frontier = nxt
     paths.sort(key=lambda p: (p.length, p.source, p.arrows))

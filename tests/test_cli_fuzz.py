@@ -26,7 +26,9 @@ FIELDS = [
 TEXTS = KINDS + ["z*w", "z^2 - w^3", "z^2*w + w^3", "z^2", "z^2 +", "z²", "0", "A",
                  "D", "E", "nodal-quadric", "kawamata-p2p2", "",
                  "1" * 5000 + "*z*w",  # past Python's int-from-text limit
-                 "(2^16000)^16000*z*w"]  # past the coefficient limit
+                 "(2^16000)^16000*z*w",  # past the coefficient limit
+                 # a sum past it: 60 distinct 4,000-digit denominators
+                 " + ".join(f"1/{10 ** 3999 + k}" for k in range(60)) + " + z*w"]
 
 LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 9),
                    st.sampled_from(TEXTS), st.just(1.5))

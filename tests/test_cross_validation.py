@@ -18,8 +18,8 @@ sympy = pytest.importorskip("sympy")
 from sympy import ZZ, Matrix, Poly, symbols  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 
-from kminusone.exact import BiPoly, IntMatrix, invariant_factors, \
-    smith_normal_form  # noqa: E402
+from kminusone.exact import BiPoly, FinAbGroup, IntMatrix, cokernel, \
+    invariant_factors, smith_normal_form  # noqa: E402
 from kminusone.germs import bipoly_gcd, branch_count, is_isolated, \
     is_squarefree  # noqa: E402
 
@@ -71,6 +71,37 @@ def test_transform_free_invariant_factors_match_sympy():
         theirs = tuple(abs(sm[j, j]) for j in range(min(r, c)) if sm[j, j] != 0)
         assert invariant_factors(m) == theirs
         assert m.rank() == Matrix(r, c, entries).rank()
+
+
+def test_nonsingular_torsion_heavy_matrices_match_sympy():
+    # square U*D*V up to 12 x 12, where the modulus of the elimination is
+    # a multiple of the largest invariant factor; the top factor repeats
+    # in half of them and stands alone (by an extra 2 or 3) in the rest
+    rng = random.Random(9003)
+
+    def unitriangular(n, lower):
+        return Matrix([[1 if i == j else rng.randint(-2, 2) * ((j < i) if lower else (j > i))
+                        for j in range(n)] for i in range(n)])
+
+    for i in range(120):
+        n = rng.randint(1, 12)
+        chain, d = [], 1
+        for _ in range(n):
+            d *= rng.choice((1, 1, 2, 3, 4, 5, 6))
+            chain.append(d)
+        if i % 2 and n > 1:
+            chain[-1] = chain[-2]
+        elif i % 2 == 0:
+            chain[-1] *= rng.choice((2, 3))
+        m = (unitriangular(n, True) * unitriangular(n, False) * Matrix.diag(*chain)
+             * unitriangular(n, False) * unitriangular(n, True))
+        entries = [int(x) for x in m]
+        sm = sympy_snf(m, domain=ZZ)
+        theirs = tuple(abs(int(sm[j, j])) for j in range(n))
+        assert theirs == tuple(chain)
+        ours = IntMatrix(n, n, tuple(entries))
+        assert invariant_factors(ours) == theirs
+        assert cokernel(ours) == FinAbGroup(0, tuple(x for x in theirs if x > 1))
 
 
 def test_bivariate_gcd_matches_sympy():

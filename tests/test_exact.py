@@ -252,6 +252,89 @@ class TestTransformFreeRoute:
         assert m.rank() == 3 and m.det() == -144
 
 
+def unimodular(rng, n):
+    """Lower times upper unitriangular, entries in [-1, 1], rows permuted
+    and signed: det = +-1."""
+    lower = IntMatrix.from_rows([[1 if i == j else rng.randint(-1, 1) * (j < i)
+                                  for j in range(n)] for i in range(n)])
+    upper = IntMatrix.from_rows([[1 if i == j else rng.randint(-1, 1) * (j > i)
+                                  for j in range(n)] for i in range(n)])
+    rows = (lower @ upper).to_rows()
+    rng.shuffle(rows)
+    return IntMatrix.from_rows([[-x for x in row] if rng.random() < 0.5 else row
+                                for row in rows])
+
+
+def with_smith_diagonal(rng, chain):
+    """U * diag(chain) * V for random unimodular U and V."""
+    n = len(chain)
+    return unimodular(rng, n) @ IntMatrix.diagonal(chain) @ unimodular(rng, n)
+
+
+class TestCertifiedModulus:
+    """A square nonsingular matrix eliminates modulo a multiple of its
+    largest invariant factor dn, found by solving against probe columns,
+    and a second run corrects a candidate the probes got wrong."""
+
+    @pytest.fixture
+    def moduli(self, monkeypatch):
+        seen = []
+        pivot_gcds = exact._pivot_gcds
+
+        def record(a, R):
+            seen.append(R)
+            return pivot_gcds(a, R)
+
+        monkeypatch.setattr(exact, "_pivot_gcds", record)
+        return seen
+
+    def test_zero_probes_fall_back_to_the_determinant(self, monkeypatch, moduli):
+        # the candidate is then 1, and the correction runs modulo |D|
+        monkeypatch.setattr(exact, "_probe_columns", lambda n: [[0, 0]] * n)
+        rng = random.Random(4049)
+        checked = 0
+        while checked < 60:
+            n = rng.randint(1, 6)
+            m = random_matrix(rng, n, n, 12)
+            det = m.det()
+            if abs(det) < 2:  # unimodular: the candidate 1 is already exact
+                continue
+            moduli.clear()
+            assert invariant_factors(m) == snf_factors(m)
+            assert moduli == [1, abs(det)]
+            checked += 1
+
+    def test_repeated_top_factor_runs_once_modulo_it(self, moduli):
+        rng = random.Random(4050)
+        chain, d = [], 1
+        for _ in range(63):
+            d *= rng.choice((1, 1, 1, 2, 3))
+            chain.append(d)
+        chain.append(d)  # d63 = d64
+        m = with_smith_diagonal(rng, chain)
+        assert invariant_factors(m) == tuple(chain)
+        assert moduli == [d]
+        assert abs(m.det()).bit_length() > 10 * d.bit_length()
+
+    def test_unlucky_probes_are_corrected(self, moduli):
+        # the top power of 2 occurs once, so each probe misses it with
+        # probability 1/2, both with 1/4, and the candidate then lacks a 2
+        rng = random.Random(4051)
+        corrected = 0
+        for _ in range(40):
+            chain, d = [], 1
+            for _ in range(rng.randint(2, 6)):
+                d *= rng.choice((1, 3, 5))
+                chain.append(d)
+            chain[-1] *= 2 ** rng.randint(1, 3)
+            m = with_smith_diagonal(rng, chain)
+            moduli.clear()
+            assert invariant_factors(m) == snf_factors(m) == tuple(chain)
+            assert chain[-1] % moduli[0] == 0  # the candidate divides dn
+            corrected += len(moduli) == 2
+        assert corrected >= 1
+
+
 class TestInjectivity:
     """The injectivity check keeps firing now that it reads the rank
     off the one cokernel computation."""

@@ -155,6 +155,27 @@ class TestSizeLimits:
                          ("(2^16000)^16000*z*w", ")^"), ("(2^400000)^400000", "^")):
             assert message in _rejected_at(text, op)
 
+    def test_coefficient_limit_on_sums(self, monkeypatch):
+        # a running bound: the lcm of the denominators and the sum of the
+        # numerators over it, as for products and powers
+        bits = MAX_COEFFICIENT_BITS
+        assert parse_polynomial(f"(1/2)^{bits}*z + (1/2)^{bits}*w").terms == {
+            (1, 0): Fraction(1, 2 ** bits), (0, 1): Fraction(1, 2 ** bits)}
+        assert parse_polynomial(f"2^{bits - 1}*z - 2^{bits - 1}*w").terms == {
+            (1, 0): 2 ** (bits - 1), (0, 1): -2 ** (bits - 1)}
+        message = f"a coefficient above 2^{bits}"
+        for text, op in ((f"(1/2)^{bits}*z + 1/3*w", "+"), (f"2^{bits}*z - w", "-"),
+                         (f"2^{bits - 1}*z + 2^{bits - 1}*w + 1", "w +")):
+            assert message in _rejected_at(text, op)
+        # 60 terms 1/d with distinct 4,000-digit d: the lcm of the first
+        # two already passes the limit, and the sum is never computed
+        text = " + ".join(f"1/{10 ** 3999 + k}" for k in range(60)) + " + z*w"
+
+        def refuse(*args):
+            raise AssertionError("computed past a limit")
+        monkeypatch.setattr(BiPoly, "__add__", refuse)
+        assert message in _rejected_at(text, "+")
+
     def test_limits_reject_before_computing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("computed past a limit")

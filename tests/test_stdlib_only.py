@@ -1,6 +1,8 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and the CLI
+nothing it does not need at start-up."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,3 +23,14 @@ def test_every_absolute_import_is_standard_library():
     outside = [(path.name, name) for path in sources for name in _absolute_imports(path)
                if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_cli_import_loads_no_random():
+    # a fresh interpreter without site, whose .pth files may import random
+    # themselves: the probe columns of invariant_factors come from a formula,
+    # so importing the CLI costs no random module at start-up
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import kminusone.cli; "
+            "print('random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
