@@ -13,7 +13,11 @@ Computational Algebraic Number Theory, Alg. 2.4.14), where R is D or, for
 a square nonsingular matrix, the certified-exponent modulus (Abbott,
 Bronstein and Mulders 1999; Eberly, Giesbrecht and Villard 2000).  Only
 ``smith_normal_form`` builds U and V: for the ``snf`` command, and for
-``FinAbGroup.direct_sum`` of two torsion chains.
+``FinAbGroup.direct_sum`` of two torsion chains.  A rational polynomial
+whose gcd with its derivative is 1 modulo a fixed prime is squarefree
+without Yun's algorithm: the modular squarefree certificate (von zur Gathen
+and Gerhard, Modern Computer Algebra, on squarefree factorisation and on
+discriminants modulo a prime).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import InputError
 
@@ -226,15 +230,50 @@ def _one_like(a: UniPoly, b: UniPoly) -> UniPoly:
     return UniPoly.const(Fraction(1))
 
 
+_PRIME = 2 ** 61 - 1
+
+
+def _simple_roots_mod_prime(p: UniPoly) -> bool:
+    """The certificate of squarefree_decomposition, for p monic of degree >= 1."""
+    if not all(isinstance(c, Fraction) for c in p.coeffs):
+        return False
+    den = lcm(*(c.denominator for c in p.coeffs))
+    if not den % _PRIME:
+        return False
+    a = [c.numerator * (den // c.denominator) % _PRIME for c in p.coeffs]
+    b = [i * c % _PRIME for i, c in enumerate(a)][1:]  # leading n * den, not 0
+    while b:  # Euclid over GF(_PRIME); a and b carry no leading zeros
+        inv = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inv % _PRIME, len(a) - len(b)
+            a.pop()  # its coefficient cancels
+            for i, c in enumerate(b[:-1]):
+                a[shift + i] = (a[shift + i] - q * c) % _PRIME
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def squarefree_decomposition(p: UniPoly):
     """Yun's algorithm: returns [(a_1, 1), (a_2, 2), ...] with
     p = lc * prod a_k^k, the a_k monic, squarefree and pairwise coprime.
-    Factors with a_k constant are omitted."""
+    Factors with a_k constant are omitted.
+
+    A rational p is first certified modulo the prime P = 2^61 - 1.  Let D
+    be the lcm of the denominators of p.monic(), and f = D * p.monic() of
+    degree n, so lc(f) = D.  If P does not divide D, f and f' keep degrees
+    n and n - 1 mod P, so Res(f, f') mod P is their resultant over GF(P),
+    nonzero when their gcd there is 1.  Then Disc(f) = +-Res(f, f')/D != 0
+    and p is squarefree over Q: the result is [(p.monic(), 1)].  If P
+    divides D or Disc(f), or for number-field coefficients, Yun decides."""
     if p.is_zero():
         raise InputError("squarefree decomposition of the zero polynomial")
     p = p.monic()
     if p.degree <= 0:
         return []
+    if _simple_roots_mod_prime(p):
+        return [(p, 1)]
     dp = p.derivative()
     g = uni_gcd(p, dp)
     if g.degree <= 0:
@@ -308,9 +347,20 @@ class BiPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
+        return self._combine(other, add)
+
+    def __neg__(self) -> "BiPoly":
+        out = BiPoly()
+        out.terms = {k: -c for k, c in self.terms.items()}
+        return out
+
+    def __sub__(self, other: "BiPoly") -> "BiPoly":
+        return self._combine(other, sub)
+
+    def _combine(self, other: "BiPoly", op) -> "BiPoly":
         t = dict(self.terms)
         for k, c in other.terms.items():
-            s = t.get(k, 0) + c
+            s = op(t.get(k, 0), c)
             if s:
                 t[k] = s
             elif k in t:
@@ -319,15 +369,14 @@ class BiPoly:
         out.terms = t
         return out
 
-    def __neg__(self) -> "BiPoly":
-        out = BiPoly()
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
     def __mul__(self, other: "BiPoly") -> "BiPoly":
+        # one term shifts the other side: no products collide and none is zero
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            one, many = (self, other) if len(self.terms) == 1 else (other, self)
+            ((a1, b1), c1), = one.terms.items()
+            out = BiPoly()
+            out.terms = {(a1 + a, b1 + b): c1 * c for (a, b), c in many.terms.items()}
+            return out
         t = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
@@ -349,6 +398,11 @@ class BiPoly:
         return out
 
     def __pow__(self, n: int) -> "BiPoly":
+        if len(self.terms) == 1 and n > 0:  # a monomial's power is one term
+            ((a, b), c), = self.terms.items()
+            out = BiPoly()
+            out.terms = {(a * n, b * n): c ** n}
+            return out
         return power(self, n, BiPoly.constant(Fraction(1)))
 
     def order(self) -> int:

@@ -8,13 +8,14 @@ Grammar:
 
 Rational literals are integers or 'p/q' in ASCII digits, each number no
 longer than Python converts to an int (sys.get_int_max_str_digits());
-there is no division operator.  Errors carry 1-based line and column positions.
+there is no division operator, and an exponent (nat) has no '/': 'z^4/2'
+is an error.  Errors carry 1-based line and column positions.
 Parentheses nest at most MAX_NESTING deep, and no sum, product or power
 may reach an exponent above MAX_EXPONENT or more than MAX_TERMS terms, nor
 any of them a coefficient above 2^MAX_COEFFICIENT_BITS: beyond a limit the
 input is a syntax error at the operator, raised before a product, power or
 sum is computed, except for the term count of a sum, which is checked on
-its result.
+its result.  Each check is exact: it takes the exact sizes of its operands.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ MAX_TERMS = 500
 MAX_COEFFICIENT_BITS = 16_384
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Token:
     kind: str   # one of: z w number + - * ^ ( ) end
-    value: object
+    value: object  # an int for a literal without '/', else a Fraction
     line: int
     column: int
 
@@ -78,24 +79,20 @@ def _tokenize(text: str):
                                       line, col) from None
             if not q:
                 raise PolySyntaxError("zero denominator", line, col)
-            tokens.append(_Token("number", Fraction(p, q), line, col))
+            tokens.append(_Token("number", Fraction(p, q) if slash else p, line, col))
     tokens.append(_Token("end", None, line, len(text) - line_start + 1))
     return tokens
 
 
 class _Parser:
     def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+        self.tokens = iter(tokens)  # ends with an 'end' token, never advanced past
+        self.cur = next(self.tokens)
         self.depth = 0
-
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
 
     def advance(self) -> _Token:
         tok = self.cur
-        self.pos += 1
+        self.cur = next(self.tokens)
         return tok
 
     def expect(self, kind: str) -> _Token:
@@ -118,7 +115,7 @@ class _Parser:
             op = self.advance()
             term = self.parse_term()
             weight = _weight(term, *(weight or _weight(result)))
-            _check_bits(op, _bits(max(weight)))
+            _check_bits(op, *map(_bits, weight[:2]))
             result = result + term if op.kind == "+" else result - term
             if len(result.terms) > MAX_TERMS:  # checked after: a sum costs no more
                 raise PolySyntaxError(f"more than {MAX_TERMS} terms", op.line, op.column)
@@ -142,11 +139,11 @@ class _Parser:
             if tok.kind != "number":
                 raise PolySyntaxError("expected a natural number exponent",
                                       tok.line, tok.column)
-            if tok.value.denominator != 1 or tok.value < 0:
+            if not isinstance(tok.value, int):  # written with '/'
                 raise PolySyntaxError("exponent must be a natural number",
                                       tok.line, tok.column)
             self.advance()
-            n, k = int(tok.value), len(base.terms)
+            n, k = tok.value, len(base.terms)
             if n > MAX_EXPONENT:
                 raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", op.line, op.column)
             # the n-th power of k terms has at most comb(n + k - 1, k - 1) terms
@@ -165,7 +162,7 @@ class _Parser:
             return BiPoly.var_w()
         if tok.kind == "number":
             self.advance()
-            return BiPoly.constant(tok.value)
+            return BiPoly.constant(Fraction(tok.value))
         if tok.kind == "(":
             if self.depth == MAX_NESTING:
                 raise PolySyntaxError(
@@ -182,14 +179,21 @@ class _Parser:
             tok.line, tok.column)
 
 
-def _weight(p: BiPoly, num: int = 0, den: int = 1) -> tuple:
+def _weight(p: BiPoly, num: int = 0, den: int = 1, z_degree: int = 0, w_degree: int = 0):
     """(the sum of the |D * c|, D) for the least common denominator D of the
-    coefficients c of p, continued from the weight (num, den) of other terms."""
-    for c in p.terms.values():
+    coefficients c of p, and the largest exponents of z and w in p, each
+    continued from the same four of other terms; one pass over the terms."""
+    for (a, b), c in p.terms.items():
+        if a > z_degree:
+            z_degree = a
+        if b > w_degree:
+            w_degree = b
         d = c.denominator
-        common = lcm(den, d)
-        num, den = num * (common // den) + abs(c.numerator) * (common // d), common
-    return num, den
+        if d != den:
+            common = lcm(den, d)
+            num, den = num * (common // den), common
+        num += abs(c.numerator) * (den // d)
+    return num, den, z_degree, w_degree
 
 
 def _bits(x: int) -> int:
@@ -201,7 +205,8 @@ def _size(p: BiPoly) -> tuple:
     """Bounds that add under products and scale by n under n-th powers: the
     largest exponents of z and w in p, and the _bits of both parts of its
     _weight."""
-    return (*map(max, zip(*p.terms, (0, 0))), *map(_bits, _weight(p)))
+    num, den, z_degree, w_degree = _weight(p)
+    return z_degree, w_degree, _bits(num), _bits(den)
 
 
 def _check_size(op: _Token, terms: int, z_degree: int, w_degree: int, *bits) -> None:

@@ -24,6 +24,7 @@ FIELDS = [
 ]
 # cheap germs only: the property is about validation, not branch counting
 TEXTS = KINDS + ["z*w", "z^2 - w^3", "z^2*w + w^3", "z^2", "z^2 +", "z²", "0", "A",
+                 "z^4/2 - w^3", "z^1/1",  # exponents written as fractions
                  "D", "E", "nodal-quadric", "kawamata-p2p2", "",
                  "1" * 5000 + "*z*w",  # past Python's int-from-text limit
                  "(2^16000)^16000*z*w",  # past the coefficient limit

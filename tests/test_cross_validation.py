@@ -3,8 +3,8 @@
 sympy is not a dependency of the package; when it happens to be
 installed, these tests compare the exact core against an independent
 implementation: Smith invariant factors, bivariate gcds, squarefree
-detection, local reducedness at the origin, and branch counts on
-binomial products with known answers.
+detection and decomposition, local reducedness at the origin, branch
+counts on binomial products with known answers, and parsed germ texts.
 """
 
 import random
@@ -15,15 +15,16 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from sympy import ZZ, Matrix, Poly, symbols  # noqa: E402
+from sympy import QQ, ZZ, Matrix, Poly, symbols  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 
-from kminusone.exact import BiPoly, FinAbGroup, IntMatrix, cokernel, \
-    invariant_factors, smith_normal_form  # noqa: E402
+from kminusone.exact import BiPoly, FinAbGroup, IntMatrix, UniPoly, cokernel, \
+    invariant_factors, smith_normal_form, squarefree_decomposition  # noqa: E402
 from kminusone.germs import bipoly_gcd, branch_count, is_isolated, \
     is_squarefree  # noqa: E402
+from kminusone.parsing import parse_polynomial  # noqa: E402
 
-Z, W = symbols("z w")
+Z, W, T = symbols("z w t")
 
 
 def to_sympy(g):
@@ -183,3 +184,71 @@ def test_branch_counts_on_binomial_products():
             continue
         assert branch_count(g).branch_count == expected
         checked += 1
+
+
+def rand_uni(rng):
+    return UniPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                    for _ in range(rng.randint(2, 4))])
+
+
+def test_squarefree_decomposition_matches_sympy_sqf_list():
+    # the modular certificate answers the squarefree products, Yun the rest
+    rng = random.Random(6161)
+    repeated = 0
+    for _ in range(300):
+        p = UniPoly.const(Fraction(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 7])))
+        for _ in range(rng.randint(1, 3)):
+            p = p * rand_uni(rng) ** rng.randint(1, 3)
+        if p.degree < 1:
+            continue
+        ours = {k: a.coeffs for a, k in squarefree_decomposition(p)}
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        _, factors = sympy.sqf_list(Poly(coeffs, T, domain=QQ))
+        theirs = {k: tuple(Fraction(int(c.p), int(c.q))
+                           for c in reversed(f.monic().all_coeffs()))
+                  for f, k in factors}
+        assert ours == theirs, p
+        repeated += max(ours) > 1
+    assert 100 < repeated < 250  # both answers are well represented
+
+
+def rand_germ_text(rng, depth):
+    """A germ text over the parser's and BiPoly's short paths: powers of
+    monomials and constants (^0 included), products with a one-term side,
+    differences that cancel, and parenthesised sums raised to powers."""
+    def literal():
+        p, q = rng.randint(0, 9), rng.choice([1, 1, 2, 3, 7])
+        return str(p) if q == 1 else f"{p}/{q}"
+
+    def monomial():
+        parts = [literal()] if rng.random() < 0.6 else []
+        parts += [f"{v}^{rng.randint(0, 5)}" if rng.random() < 0.5 else v
+                  for v in rng.sample("zw", rng.randint(0, 2))]
+        return "*".join(parts) or "1"
+
+    if depth == 0:
+        return monomial()
+    x, y = rand_germ_text(rng, depth - 1), rand_germ_text(rng, depth - 1)
+    return rng.choice([
+        f"({monomial()})^{rng.randint(0, 6)}",
+        f"{monomial()}*({x})",
+        f"({x})*{monomial()}",
+        f"{y} + ({x}) - ({x})",
+        f"-({x}) + ({x})",
+        f"({x}) - ({x})",
+        f"({x} + ({y}))^{rng.randint(0, 3)}",
+        f"({x})*({y}) - {monomial()}",
+    ])
+
+
+def test_parsed_germs_match_sympy_expand():
+    rng = random.Random(3131)
+    zero = 0
+    for _ in range(300):
+        text = rand_germ_text(rng, rng.randint(1, 3))
+        ours = {k: sympy.Rational(c.numerator, c.denominator)
+                for k, c in parse_polynomial(text).terms.items()}
+        expr = sympy.expand(sympy.sympify(text.replace("^", "**"), locals={"z": Z, "w": W}))
+        assert ours == Poly(expr, Z, W).as_dict(), text
+        zero += not ours
+    assert 10 < zero < 150  # cancellation to zero is well represented

@@ -7,6 +7,7 @@ import pytest
 
 import kminusone.exact as exact
 from kminusone.errors import InputError
+from kminusone.fields import NumberField
 from kminusone.exact import (
     BiPoly,
     FinAbGroup,
@@ -83,6 +84,31 @@ class TestSquarefreePart:
         p = U(-1, 1) ** 1 * U(1, 1) ** 3
         decomp = squarefree_decomposition(p)
         assert decomp == [(U(-1, 1), 1), (U(1, 1), 3)]
+
+
+class TestSquarefreeCertificate:
+    def test_squarefree_over_q_but_not_modulo_the_prime(self):
+        f = U(0, -exact._PRIME, 1)  # t * (t - P)
+        assert not exact._simple_roots_mod_prime(f)
+        assert squarefree_decomposition(f) == [(f, 1)]
+
+    def test_leading_coefficient_divisible_by_the_prime(self):
+        # monic, these have the denominator P, which f = D * p keeps as lc(f)
+        f = U(-1, 0, exact._PRIME)
+        assert not exact._simple_roots_mod_prime(f.monic())
+        assert squarefree_decomposition(f) == [(f.monic(), 1)]
+        assert squarefree_decomposition(f * f) == [(f.monic(), 2)]
+
+    def test_certified_polynomials_skip_yun(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Yun's algorithm ran")
+        monkeypatch.setattr(exact, "uni_gcd", refuse)
+        # the edge polynomial of (z^2 - 5/2*w^3)*(z^2 - w^3)
+        edge = UniPoly((Fraction(5, 2), 0, Fraction(-7, 2), 0, Fraction(1)))
+        assert squarefree_decomposition(edge) == [(edge, 1)]
+        assert squarefree_decomposition(U(7)) == []
+        with pytest.raises(AssertionError, match="Yun"):
+            squarefree_decomposition(U(-1, 1) ** 2 * U(2, 1))
 
 
 class TestSmithNormalForm:
@@ -438,3 +464,23 @@ class TestBiPoly:
     def test_zero_order_rejected(self):
         with pytest.raises(InputError, match="order of the zero polynomial"):
             BiPoly.zero().order()
+
+    def test_one_term_products_and_powers_over_a_number_field(self):
+        k = NumberField(U(-2, 0, 1))  # Q(sqrt 2)
+        r = k.generator
+        m = BiPoly({(1, 2): r + 1})
+        p = BiPoly({(0, 0): k.one, (2, 1): r, (3, 0): r * Fraction(-1, 3)})
+
+        def naive_product(x, y):
+            out = BiPoly()
+            for (a1, b1), c1 in x.terms.items():
+                for (a2, b2), c2 in y.terms.items():
+                    out = out + BiPoly({(a1 + a2, b1 + b2): c1 * c2})
+            return out
+
+        for n in range(6):
+            assert m ** n == exact.power(m, n, BiPoly.constant(k.one))
+        assert m ** 3 == BiPoly({(3, 6): (r + 1) * (r + 1) * (r + 1)})
+        assert m * p == p * m == naive_product(m, p)
+        assert m * m == naive_product(m, m)
+        assert (m * BiPoly()).is_zero() and (p - p).is_zero()

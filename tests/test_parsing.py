@@ -3,13 +3,14 @@
 import random
 import sys
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 
 from kminusone.errors import PolySyntaxError
 from kminusone.exact import BiPoly
 from kminusone.parsing import MAX_COEFFICIENT_BITS, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, \
-    parse_polynomial, render_polynomial
+    _tokenize, parse_polynomial, render_polynomial
 
 
 class TestParse:
@@ -64,6 +65,14 @@ class TestSyntaxErrors:
             parse_polynomial("z^w")
         with pytest.raises(PolySyntaxError):
             parse_polynomial("z^1/2")
+
+    def test_exponent_written_as_a_fraction(self):
+        # 4/2 and 1/1 are whole numbers, but the grammar's exponent is nat
+        for text, column in (("z^4/2 - w^3", 3), ("z^1/1", 3), ("w + (z)^\n 9/3", 2)):
+            with pytest.raises(PolySyntaxError, match="exponent must be a natural number") \
+                    as info:
+                parse_polynomial(text)
+            assert (info.value.line, info.value.column) == (text.count("\n") + 1, column)
 
     def test_zero_denominator(self):
         with pytest.raises(PolySyntaxError):
@@ -184,6 +193,144 @@ class TestSizeLimits:
         _rejected_at("(1+z+w)^150*z", "^")
         _rejected_at(f"(z + z)^{MAX_COEFFICIENT_BITS + 1}", ")^")
         _rejected_at(f"1/{'9' * 4000}*1/{'9' * 4000}*z", "*")
+
+
+class _ReferenceParser:
+    """The size checks as first written, kept as the reference for the
+    parser's: the exact _size of both operands at every '*' and of the base
+    at every '^', and the running weight of every sum at its '+' or '-'."""
+
+    def __init__(self, text):
+        self.tokens, self.pos = _tokenize(text), 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expr(self):
+        sign = self.take().kind if self.peek().kind in "+-" else "+"
+        result = self.term()
+        result = -result if sign == "-" else result
+        weight = None
+        while self.peek().kind in "+-":
+            op = self.take()
+            term = self.term()
+            weight = _ref_weight(term, *(weight or _ref_weight(result)))
+            _ref_check(op, 1, 0, 0, _ref_bits(max(weight)))
+            result = result + term if op.kind == "+" else result - term
+            if len(result.terms) > MAX_TERMS:
+                raise PolySyntaxError(f"more than {MAX_TERMS} terms", op.line, op.column)
+        return result
+
+    def term(self):
+        result = self.factor()
+        while self.peek().kind == "*":
+            op = self.take()
+            factor = self.factor()
+            _ref_check(op, len(result.terms) * len(factor.terms),
+                       *map(sum, zip(_ref_size(result), _ref_size(factor))))
+            result = result * factor
+        return result
+
+    def factor(self):
+        base = self.base()
+        if self.peek().kind != "^":
+            return base
+        op = self.take()
+        n, k = self.take().value, len(base.terms)
+        if n > MAX_EXPONENT:
+            raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", op.line, op.column)
+        _ref_check(op, comb(n + k - 1, k - 1) if k else 1, *(n * d for d in _ref_size(base)))
+        return base ** n
+
+    def base(self):
+        tok = self.take()
+        if tok.kind == "(":
+            inner = self.expr()
+            assert self.take().kind == ")"
+            return inner
+        return {"z": BiPoly.var_z, "w": BiPoly.var_w}.get(
+            tok.kind, lambda: BiPoly.constant(Fraction(tok.value)))()
+
+
+def _ref_weight(p, num=0, den=1):
+    for c in p.terms.values():
+        d = c.denominator
+        common = lcm(den, d)
+        num, den = num * (common // den) + abs(c.numerator) * (common // d), common
+    return num, den
+
+
+def _ref_bits(x):
+    return max(x - 1, 0).bit_length()
+
+
+def _ref_size(p):
+    return (*map(max, zip(*p.terms, (0, 0))), *map(_ref_bits, _ref_weight(p)))
+
+
+def _ref_check(op, terms, z_degree, w_degree, *bits):
+    if max(z_degree, w_degree) > MAX_EXPONENT:
+        raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", op.line, op.column)
+    if min(terms, (z_degree + 1) * (w_degree + 1)) > MAX_TERMS:
+        raise PolySyntaxError(f"more than {MAX_TERMS} terms", op.line, op.column)
+    if max(bits) > MAX_COEFFICIENT_BITS:
+        raise PolySyntaxError(f"a coefficient above 2^{MAX_COEFFICIENT_BITS}",
+                              op.line, op.column)
+
+
+def _outcome(parse, text):
+    try:
+        return "accepted", parse(text).terms
+    except PolySyntaxError as e:
+        return str(e), e.line, e.column
+
+
+def _straddling_texts(rng):
+    """(family, text) pairs whose size lands just under or just over a limit."""
+    e, t, b = MAX_EXPONENT, MAX_TERMS, MAX_COEFFICIENT_BITS
+    d = rng.randint(-2, 2)
+    a, k = rng.randint(1, 1000), rng.randint(2, 1000)
+    m = rng.randint(9, 40)
+    big = rng.randint(1000, 4000)
+    sums = [f"z^{i}" for i in range(t + d)]
+    sums[rng.randrange(len(sums))] += f" - z^{rng.randrange(t)}"
+    return [
+        ("exponent", f"z^{e + d} - w"),
+        ("exponent", f"z*z^{e - 1 + d}"),
+        ("exponent", f"w^{a}*w^{e - a + d}"),
+        ("exponent", f"(z^{k})^{e // k + d}*w"),
+        ("exponent", f"(z + w^{a})^2*w^{e - 2 * a + d}"),
+        ("product terms", f"(1+z)^{m}*(1+w)^{t // (m + 1) - 1 + d}"),
+        ("power terms", f"((1+z^2)*(1+w^2))^{12 + (d > 0)}"),
+        ("power terms", f"((1+z)*(1+w))^{21 + (d > 0)}*z"),
+        ("sum terms", " + ".join(sums)),
+        ("product bits", f"2^{a}*2^{b - a + d}*z"),
+        ("product bits", f"(1/2)^{b - 2 * a + d}*(1/3)^{a}*w"),
+        ("product bits", f"(1/6*z + 1/2*w)*2^{b - 2 + d}"),
+        ("product bits", f"(1/2*z + 1/3*w + 1/6)*2^{b - 3 + d}"),
+        ("power bits", f"(2^{k})^{b // k + d}"),
+        ("power bits", f"(2^{big}*(z + w))^{b // (big + 1) + (d > 0)}"),
+        ("sum bits", f"2^{b - 1 + d}*z + 2^{b - 1}*w"),
+        ("sum bits", f"(1/2)^{b - 2 * a + d}*z - (1/3)^{a}*w + (1/5)^{a}"),
+    ]
+
+
+class TestLimitDecisions:
+    def test_same_decisions_as_the_reference_checks(self):
+        # accept or reject, message, line and column, on seeded texts on
+        # both sides of every limit
+        rng = random.Random(1717)
+        seen = {}
+        for _ in range(12):
+            for family, text in _straddling_texts(rng):
+                ours = _outcome(parse_polynomial, text)
+                assert ours == _outcome(lambda s: _ReferenceParser(s).expr(), text), text
+                seen.setdefault(family, set()).add(ours[0] == "accepted")
+        assert all(sides == {True, False} for sides in seen.values()), seen
 
 
 class TestRoundTrip:
