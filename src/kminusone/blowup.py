@@ -10,13 +10,13 @@ threefold hypersurface point x_n x_{n+1} + f per center singularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import DualGraph, betti1, curve_k_minus_one, is_forest_of_lines
 from .errors import InputError, SpecValidationError, at_field
 from .exact import BiPoly, FinAbGroup
 from .localsing import classify_cAn
+from .records import record
 from .verdicts import Verdict, decide
 
 
@@ -40,7 +40,7 @@ def node_germ() -> BiPoly:
     return BiPoly({(1, 1): Fraction(1)})
 
 
-@dataclass(frozen=True)
+@record
 class BlowupStep:
     """One blow-up along a nodal curve inside the current (smooth ambient)
     threefold.  center_germs optionally refines the plane germs at the
@@ -50,7 +50,6 @@ class BlowupStep:
 
     center: DualGraph
     center_germs: tuple = ()
-    acquired: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         germs = tuple(self.center_germs)
@@ -67,7 +66,7 @@ class BlowupStep:
                 raise SpecValidationError(
                     f"center_germs[{j}]", f"a node of the center has 2 branches, "
                     f"this germ has {sing.br}")
-        object.__setattr__(self, "acquired", acquired)
+        object.__setattr__(self, "acquired", acquired)  # not a field: outside ==, hash, repr
 
     def germs(self):
         if self.center_germs:
@@ -81,7 +80,7 @@ class BlowupStep:
         return blowup_singularities([node_germ()]) * self.center.edge_count
 
 
-@dataclass(frozen=True)
+@record
 class BlowupPipeline:
     """A smooth projective threefold blown up along a sequence of
     disjoint lci center curves."""

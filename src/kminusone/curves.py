@@ -9,14 +9,12 @@ pieces, and the group is torsion free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .errors import InputError
 from .exact import FinAbGroup
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class DualGraph:
     """Finite multigraph with loops.  Per-vertex flags record whether the
     component is rational and whether it is a smooth P^1.
@@ -88,7 +86,7 @@ class DualGraph:
         return [comps[r] for r in sorted(comps)]
 
 
-@dataclass(frozen=True)
+@record
 class GeneralCurvePiece:
     """Branch data of one connected curve: N irreducible components and
     the local branch number at each singular point.  A cusp has branch
@@ -106,11 +104,11 @@ class GeneralCurvePiece:
         object.__setattr__(self, "branch_numbers", brs)
 
 
-@dataclass(frozen=True)
+@record
 class CurveSpec:
     """Either a dual graph (nodal case) or general branch data."""
 
-    graph: Optional[DualGraph] = None
+    graph: DualGraph | None = None
     pieces: tuple = ()
 
     def __post_init__(self):

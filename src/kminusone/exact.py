@@ -9,8 +9,8 @@ Rank, determinant, invariant factors and cokernels build no transforms:
 a fraction-free Bareiss pass gives the rank r and a nonzero r x r minor
 D, and gcd-based elimination over Z/RZ gives the invariant factors as
 gcd(pivot, R) (Domich, Kannan and Trotter 1987; Cohen, A Course in
-Computational Algebraic Number Theory, Alg. 2.4.14), where R is D or, for
-a square nonsingular matrix, the certified-exponent modulus (Abbott,
+Computational Algebraic Number Theory, Alg. 2.4.14), where R is D or, for a
+large square nonsingular matrix, the certified-exponent modulus (Abbott,
 Bronstein and Mulders 1999; Eberly, Giesbrecht and Villard 2000).  Only
 ``smith_normal_form`` builds U and V: for the ``snf`` command, and for
 ``FinAbGroup.direct_sum`` of two torsion chains.  A rational polynomial
@@ -22,12 +22,12 @@ discriminants modulo a prime).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
 from .errors import InputError
+from .records import record
 
 # Exact rational scalar: always reduced, denominator > 0.
 Rational = Fraction
@@ -442,7 +442,7 @@ class BiPoly:
 # integer matrices and Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """Immutable integer matrix, row-major storage."""
 
@@ -588,18 +588,20 @@ def invariant_factors(m: IntMatrix) -> tuple:
     transforms; len() of the result is the rank.
 
     Elimination modulo R gives ei = gcd(di, R) (Domich-Kannan-Trotter): exact
-    for R = |D|, which every di divides.  A square nonsingular M uses the
-    certified-exponent modulus instead, a multiple of dn with far fewer bits
-    (Abbott-Bronstein-Mulders, Eberly-Giesbrecht-Villard).  (1) Bareiss carries
-    probe columns b.  y = D * M^-1 * b and dn * M^-1 = V * diag(dn / di) * U,
-    for U * M * V = diag(di), are integral, so D divides dn * y and dn * D:
-    C = |D| / gcd(D, y) divides dn.  (2) For R = C, prod ei = |D| means ei = di
-    for all i, as ei divides di.  Otherwise en = C and dn / en divides
-    |D| / prod ei, so R = C * |D| / prod ei is a multiple of dn.
+    for R = |D|, which every di divides.  A square nonsingular M with Hadamard
+    bound on |D| past one machine word, 2^64, where the probes start to pay,
+    uses the certified-exponent modulus, a multiple of dn with far fewer bits
+    (Abbott-Bronstein-Mulders, Eberly-Giesbrecht-Villard).
+    (1) Bareiss carries probe columns b.  y = D * M^-1 * b and dn * M^-1 =
+    V * diag(dn / di) * U, for U * M * V = diag(di), are integral, so D divides
+    dn * y and dn * D: C = |D| / gcd(D, y) divides dn.  (2) For R = C, prod ei =
+    |D| means ei = di for all i, as ei divides di.  Otherwise en = C and dn / en
+    divides |D| / prod ei, so R = C * |D| / prod ei is a multiple of dn.
     """
-    r, minor, a = _bareiss(m, _probe_columns(m.rows) if m.rows == m.cols else ())
+    probe = m.rows == m.cols and prod(sum(map(mul, row, row)) for row in m.to_rows()) >> 128
+    r, minor, a = _bareiss(m, _probe_columns(m.rows) if probe else ())
     R = abs(minor)
-    if r == m.rows == m.cols:
+    if probe and r == m.rows:
         y = []  # D * M^-1 * b for each probe b: back substitution divides exactly
         for c in map(list, zip(*(row[r:] for row in a))):
             for i in reversed(range(r)):
@@ -671,7 +673,7 @@ def smith_normal_form(m: IntMatrix):
 # finitely generated abelian groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class FinAbGroup:
     """Finitely generated abelian group as free rank plus invariant factors
     d1 | d2 | ..., each >= 2.  Canonical, so equality is structural."""

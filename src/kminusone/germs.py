@@ -20,7 +20,6 @@ repeated factors whose expansion never ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -28,6 +27,7 @@ from math import comb, gcd
 from .errors import ExtensionUnsupported, InputError, KMinusOneError, NotIsolated
 from .exact import BiPoly, UniPoly, squarefree_decomposition, uni_gcd
 from .fields import NumberField, irreducible_factors
+from .records import record
 
 # Stated resource limit: the Newton recursion goes at most this many
 # coordinate shifts deep.  Each level but the last sits at a distinct
@@ -43,7 +43,7 @@ _MAX_DEPTH = 500
 _CONFIRM_DEPTH = 2
 
 
-@dataclass(frozen=True)
+@record
 class NewtonEdge:
     """One compact edge of the Newton polygon.
 
@@ -60,7 +60,7 @@ class NewtonEdge:
     edge_polynomial: UniPoly
 
 
-@dataclass(frozen=True)
+@record
 class BranchReport:
     order: int
     branch_count: int

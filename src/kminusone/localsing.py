@@ -9,16 +9,15 @@ x^2 + y^2 + ... shape by the linear change x^2 + y^2 -> xy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InputError
 from .exact import BiPoly
 from .germs import BranchReport, branch_count
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class LocalSingularity:
     """An isolated cA_n point: index n and branch number br.
 
@@ -26,7 +25,7 @@ class LocalSingularity:
     determined by the data.
     """
 
-    n: Optional[int]
+    n: int | None
     br: int
 
     def __post_init__(self):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
@@ -45,12 +44,12 @@ MAX_TERMS = 500
 MAX_COEFFICIENT_BITS = 16_384
 
 
-@dataclass(slots=True)
 class _Token:
-    kind: str   # one of: z w number + - * ^ ( ) end
-    value: object  # an int for a literal without '/', else a Fraction
-    line: int
-    column: int
+    __slots__ = ("kind", "value", "line", "column")
+
+    def __init__(self, kind: str, value, line: int, column: int):
+        # kind: one of z w number + - * ^ ( ) end; value: an int if written without '/'
+        self.kind, self.value, self.line, self.column = kind, value, line, column
 
 
 # a number p or p/q, an operator or variable, a newline, blanks, or any other character

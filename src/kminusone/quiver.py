@@ -11,20 +11,19 @@ simple paths, giving dimension V^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curves import DualGraph, is_tree_of_lines
 from .errors import InputError
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Arrow:
     source: int
     target: int
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class QuiverWithRelations:
     """Quiver with length-2 monomial relations, given as pairs of arrow
     indices (first traversed, second traversed)."""
@@ -46,7 +45,7 @@ class QuiverWithRelations:
         object.__setattr__(self, "relations", rels)
 
 
-@dataclass(frozen=True)
+@record
 class BasisPath:
     """A nonzero path: length-0 paths are the vertex idempotents e_v."""
 
@@ -64,7 +63,7 @@ class BasisPath:
         return "·".join(quiver.arrows[i].name for i in self.arrows)
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraBasis:
     paths: tuple
     dimension: int

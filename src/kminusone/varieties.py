@@ -15,14 +15,13 @@ rank L - delta is known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Optional
 
 from .errors import InputError
 from .exact import FinAbGroup, IntMatrix, cokernel
 from .localsing import ordinary_double_point
+from .records import record
 
 
 class EnoughWeil(Enum):
@@ -31,7 +30,7 @@ class EnoughWeil(Enum):
     RANK_ZERO_UNVERIFIED = "RankZeroUnverified"
 
 
-@dataclass(frozen=True)
+@record
 class VarietySpec:
     """Global input record for a projective threefold with isolated cA_n
     singularities.  cl_rank >= pic_rank; the optional restriction matrix
@@ -41,7 +40,7 @@ class VarietySpec:
     singularities: tuple
     pic_rank: int
     cl_rank: int
-    restriction_matrix: Optional[IntMatrix] = None
+    restriction_matrix: IntMatrix | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -66,7 +65,7 @@ class VarietySpec:
         return not self.singularities
 
 
-@dataclass(frozen=True)
+@record
 class GlobalReport:
     L: int
     delta: int
@@ -127,7 +126,7 @@ def threefold_invariants(spec: VarietySpec) -> GlobalReport:
     return GlobalReport(L, delta, k, EnoughWeil.RANK_ZERO_UNVERIFIED, exact=False)
 
 
-@dataclass(frozen=True)
+@record
 class SmallResolutionRank:
     rank_k_minus_one: int
     defect: int
@@ -147,7 +146,7 @@ def small_resolution_rank(r: int, mu: int, rho_x: int, rho_y: int) -> SmallResol
     return SmallResolutionRank(rank, delta)
 
 
-@dataclass(frozen=True)
+@record
 class DelPezzoRow:
     d: int
     singular_points: int
@@ -229,7 +228,7 @@ def surface_rank(rho_x: int, rho_resolution: int, n_exceptional: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceResolutionSpec:
     """Resolution data of a normal rational projective surface with
     rational singularities.  The optional matrix is the restriction map
@@ -240,7 +239,7 @@ class SurfaceResolutionSpec:
     exceptional_components: int
     toric_gorenstein: bool = False
     singularity_orders: tuple = ()
-    restriction_matrix: Optional[IntMatrix] = None
+    restriction_matrix: IntMatrix | None = None
     label: str = ""
 
     def __post_init__(self):

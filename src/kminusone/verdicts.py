@@ -14,14 +14,13 @@ condition and scattered sufficient constructions, and the gap is real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .curves import CurveSpec, DualGraph, curve_k_minus_one, is_forest_of_lines
 from .errors import SpecValidationError
 from .exact import FinAbGroup
 from .quiver import QuiverWithRelations, doubled_quiver
+from .records import record
 from .varieties import (
     EnoughWeil,
     SurfaceResolutionSpec,
@@ -52,12 +51,12 @@ class CertificateKind(Enum):
     BLOWUP_OF_YES_PAIR = "BlowupOfYesPair"
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     kind: CertificateKind
-    quiver: Optional[QuiverWithRelations] = None     # BurbanTree
-    algebra_orders: tuple = ()                        # ToricSurface
-    parts: tuple = ()                                 # BlowupOfYesPair
+    quiver: QuiverWithRelations | None = None  # BurbanTree
+    algebra_orders: tuple = ()                 # ToricSurface
+    parts: tuple = ()                          # BlowupOfYesPair
 
     def __post_init__(self):
         if self.kind is CertificateKind.BURBAN_TREE and self.quiver is None:
@@ -70,13 +69,13 @@ class Certificate:
         object.__setattr__(self, "parts", tuple(self.parts))
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     decision: Decision
-    obstruction: Optional[FinAbGroup] = None
-    certificate: Optional[Certificate] = None
+    obstruction: FinAbGroup | None = None
+    certificate: Certificate | None = None
     notes: tuple = ()
-    k_minus_one: Optional[FinAbGroup] = None
+    k_minus_one: FinAbGroup | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "notes", tuple(self.notes))
@@ -132,7 +131,7 @@ _CATALOG = {
 }
 
 
-def _catalog_certificate(spec: VarietySpec) -> Optional[Certificate]:
+def _catalog_certificate(spec: VarietySpec) -> Certificate | None:
     entry = _CATALOG.get(spec.label)
     if entry is None:
         return None

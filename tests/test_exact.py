@@ -278,12 +278,12 @@ class TestTransformFreeRoute:
         assert m.rank() == 3 and m.det() == -144
 
 
-def unimodular(rng, n):
-    """Lower times upper unitriangular, entries in [-1, 1], rows permuted
-    and signed: det = +-1."""
-    lower = IntMatrix.from_rows([[1 if i == j else rng.randint(-1, 1) * (j < i)
+def unimodular(rng, n, entry=1):
+    """Lower times upper unitriangular, entries in [-entry, entry], rows
+    permuted and signed: det = +-1."""
+    lower = IntMatrix.from_rows([[1 if i == j else rng.randint(-entry, entry) * (j < i)
                                   for j in range(n)] for i in range(n)])
-    upper = IntMatrix.from_rows([[1 if i == j else rng.randint(-1, 1) * (j > i)
+    upper = IntMatrix.from_rows([[1 if i == j else rng.randint(-entry, entry) * (j > i)
                                   for j in range(n)] for i in range(n)])
     rows = (lower @ upper).to_rows()
     rng.shuffle(rows)
@@ -291,16 +291,18 @@ def unimodular(rng, n):
                                 for row in rows])
 
 
-def with_smith_diagonal(rng, chain):
+def with_smith_diagonal(rng, chain, entry=1):
     """U * diag(chain) * V for random unimodular U and V."""
     n = len(chain)
-    return unimodular(rng, n) @ IntMatrix.diagonal(chain) @ unimodular(rng, n)
+    return unimodular(rng, n, entry) @ IntMatrix.diagonal(chain) @ unimodular(rng, n, entry)
 
 
 class TestCertifiedModulus:
-    """A square nonsingular matrix eliminates modulo a multiple of its
-    largest invariant factor dn, found by solving against probe columns,
-    and a second run corrects a candidate the probes got wrong."""
+    """A square nonsingular matrix whose Hadamard bound on |det| passes
+    2^64 eliminates modulo a multiple of its largest invariant factor dn,
+    found by solving against probe columns, and a second run corrects a
+    candidate the probes got wrong.  Below that bound it eliminates once
+    modulo |det|, without probes."""
 
     @pytest.fixture
     def moduli(self, monkeypatch):
@@ -320,8 +322,8 @@ class TestCertifiedModulus:
         rng = random.Random(4049)
         checked = 0
         while checked < 60:
-            n = rng.randint(1, 6)
-            m = random_matrix(rng, n, n, 12)
+            n = rng.randint(2, 6)
+            m = random_matrix(rng, n, n, 2**80)  # two nonzero rows pass the bound
             det = m.det()
             if abs(det) < 2:  # unimodular: the candidate 1 is already exact
                 continue
@@ -353,12 +355,26 @@ class TestCertifiedModulus:
                 d *= rng.choice((1, 3, 5))
                 chain.append(d)
             chain[-1] *= 2 ** rng.randint(1, 3)
-            m = with_smith_diagonal(rng, chain)
+            m = with_smith_diagonal(rng, chain, 2**64)  # past the bound from n = 2
             moduli.clear()
             assert invariant_factors(m) == snf_factors(m) == tuple(chain)
             assert chain[-1] % moduli[0] == 0  # the candidate divides dn
             corrected += len(moduli) == 2
         assert corrected >= 1
+
+    def test_small_determinants_skip_the_probes(self, monkeypatch, moduli):
+        def refuse(n):
+            raise AssertionError("probe columns for a determinant under 2^64")
+
+        monkeypatch.setattr(exact, "_probe_columns", refuse)
+        rng = random.Random(4052)
+        for n in range(1, 9):  # |row|^2 <= 8 * 12^2 < 2^11: the bound is under 2^44
+            m = random_matrix(rng, n, n, 12)
+            while not m.det():
+                m = random_matrix(rng, n, n, 12)
+            moduli.clear()
+            assert invariant_factors(m) == snf_factors(m)
+            assert moduli == [abs(m.det())]
 
 
 class TestInjectivity:

@@ -25,12 +25,22 @@ def test_every_absolute_import_is_standard_library():
     assert outside == []
 
 
-def test_cli_import_loads_no_random():
-    # a fresh interpreter without site, whose .pth files may import random
-    # themselves: the probe columns of invariant_factors come from a formula,
-    # so importing the CLI costs no random module at start-up
+def _loaded_by_cli_import(*modules):
+    # a fresh interpreter without site, whose .pth files may import these
+    # modules themselves
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import kminusone.cli; "
-            "print('random' in sys.modules)")
-    out = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
-                         capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
+            "print(*sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    return subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent), *modules],
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_random():
+    # the probe columns of invariant_factors come from a formula, so
+    # importing the CLI costs no random module at start-up
+    assert _loaded_by_cli_import("random") == "\n"
+
+
+def test_cli_import_generates_no_dataclasses():
+    # records.record replaces @dataclass, which generates several methods per
+    # class at import and loads inspect; annotations are strings, not typing
+    assert _loaded_by_cli_import("dataclasses", "inspect", "typing") == "\n"
