@@ -58,7 +58,6 @@ from .parsing import parse_polynomial, render_polynomial
 from .quiver import (
     AlgebraBasis,
     Arrow,
-    BasisPath,
     QuiverWithRelations,
     algebra_basis,
     burban_quiver,

@@ -46,30 +46,21 @@ class QuiverWithRelations:
 
 
 @record
-class BasisPath:
-    """A nonzero path: length-0 paths are the vertex idempotents e_v."""
+class AlgebraBasis:
+    """Nonzero paths as (source, target, arrow indices) rows, with their
+    labels: e_v for the idempotent at v, else the arrow names joined by '·'."""
 
-    source: int
-    target: int
-    arrows: tuple = ()
+    paths: tuple
+    path_labels: tuple
 
     @property
-    def length(self) -> int:
-        return len(self.arrows)
+    def dimension(self) -> int:
+        return len(self.paths)
 
-    def label(self, quiver: QuiverWithRelations) -> str:
-        if not self.arrows:
-            return f"e{self.source + 1}"
-        return "·".join(quiver.arrows[i].name for i in self.arrows)
-
-
-@record
-class AlgebraBasis:
-    paths: tuple
-    dimension: int
-
-    def labels(self, quiver: QuiverWithRelations):
-        return [p.label(quiver) for p in self.paths]
+    def labels(self, quiver: QuiverWithRelations) -> list:
+        """The labels, which were built from the arrow names of quiver when
+        the basis was enumerated."""
+        return list(self.path_labels)
 
 
 def doubled_quiver(graph: DualGraph) -> QuiverWithRelations:
@@ -99,34 +90,38 @@ def burban_quiver(tree: DualGraph) -> QuiverWithRelations:
 
 
 def algebra_basis(quiver: QuiverWithRelations) -> AlgebraBasis:
-    """All nonzero paths of length below the vertex count.
+    """All nonzero paths of length below the vertex count, in the order
+    (length, source, arrow indices).
 
-    If a valid path as long as the vertex count exists, the algebra is
-    suspected infinite dimensional (a non-backtracking walk that long in
-    a doubled tree cannot exist) and InputError is raised instead of
-    returning a truncated basis.
+    A valid path as long as the vertex count raises InputError instead of
+    returning a truncated basis.  That refusal is exact for doubled forests,
+    where a non-backtracking walk that long cannot exist.  Other quivers may
+    be refused although their basis is finite: arrows a: 1 -> 2 and
+    b: 2 -> 1 with only a·b = 0 have the basis e1, e2, a, b, b·a, and are
+    refused because b·a has length 2.
     """
-    forbidden = set(quiver.relations)
-    by_source = {}
-    for idx, a in enumerate(quiver.arrows):
-        by_source.setdefault(a.source, []).append(idx)
-
-    paths = [BasisPath(v, v) for v in range(quiver.vertices)]
-    frontier = list(paths)
-    length = 0
-    while frontier:
-        length += 1
-        nxt = []
-        for p in frontier:
-            for idx in by_source.get(p.target, ()):
-                if p.arrows and (p.arrows[-1], idx) in forbidden:
-                    continue
-                nxt.append(BasisPath(p.source, quiver.arrows[idx].target,
-                                     p.arrows + (idx,)))
-        if nxt and length >= quiver.vertices:
+    arrows, forbidden = quiver.arrows, set(quiver.relations)
+    leaving = [[] for _ in range(quiver.vertices)]
+    for i, a in enumerate(arrows):
+        leaving[a.source].append(i)
+    # relations are composable pairs, so what may follow a path depends only
+    # on its last arrow: (index, target, name) of each arrow allowed after it
+    follow = [[(j, arrows[j].target, arrows[j].name) for j in leaving[a.target]
+               if (i, j) not in forbidden] for i, a in enumerate(arrows)]
+    paths = [(v, v, ()) for v in range(quiver.vertices)]
+    labels = [f"e{v + 1}" for v in range(quiver.vertices)]
+    # each level lists (source, target, arrows, label, follow) in basis order,
+    # so extending its paths in turn by increasing arrow index keeps that order
+    level = [(v, arrows[i].target, (i,), arrows[i].name, follow[i])
+             for v in range(quiver.vertices) for i in leaving[v]]
+    length = 1
+    while level:
+        if length >= quiver.vertices:
             raise InputError(
                 f"a nonzero path of length {quiver.vertices} exists; non-tree input")
-        paths.extend(nxt)
-        frontier = nxt
-    paths.sort(key=lambda p: (p.length, p.source, p.arrows))
-    return AlgebraBasis(tuple(paths), len(paths))
+        paths += [(s, t, p) for s, t, p, _, _ in level]
+        labels += [label for _, _, _, label, _ in level]
+        level = [(s, u, p + (j,), f"{label}·{name}", follow[j])
+                 for s, _, p, label, nxt in level for j, u, name in nxt]
+        length += 1
+    return AlgebraBasis(tuple(paths), tuple(labels))

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, document validation,
 golden output stability."""
 
+import hashlib
 import io
 import json
 import random
@@ -366,6 +367,37 @@ class TestEmitReport:
 
         assert emit_report(Report({"b": 1, "a": [2]}, no_text), as_json=True) \
             == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}'
+
+
+def _large_tree_edges(shape):
+    if shape == "path":
+        return [[v - 1, v] for v in range(1, 200)]
+    if shape == "star":
+        return [[0, v] for v in range(1, 200)]
+    rng = random.Random(2026)
+    return [[rng.randrange(v), v] for v in range(1, 200)]
+
+
+# sha256 of stdout for `quiver` and `--json quiver` on 200-vertex trees, whose
+# reports (up to 26 MB) are far larger than any in the golden corpus
+LARGE_QUIVER_DIGESTS = {
+    ("path", False): "d17789a1e1ccd8f434b2794f6a2fbb799d19f7e106a3886e55d87c8d2f71a532",
+    ("path", True): "39dd801c66bb8e0cd8eaa02852b0f91b84724838ee770d60971516f5ec6b74f9",
+    ("star", False): "d26cf524e766a010ddb75c767758e3cd43d5f4b6e2db5ffd0b70ef8af5d19413",
+    ("star", True): "cd3bda705915f52f41ba74e7a768cac3270d3194c3aa47f8c8b239139edb96fd",
+    ("random", False): "8f2378448f2000ff34d60d494bc6a8915517810992fa384bd927276dbb76df4d",
+    ("random", True): "e849417402954d9ba04114f69b3e8e1ce316c1f565017eebeaf523422a0ccd46",
+}
+
+
+@pytest.mark.parametrize("shape, as_json", list(LARGE_QUIVER_DIGESTS),
+                         ids=[f"{s}-{'json' if j else 'text'}" for s, j in LARGE_QUIVER_DIGESTS])
+def test_large_quiver_reports_are_pinned(capsys, tmp_path, shape, as_json):
+    doc = write_doc(tmp_path, "tree.json", {
+        "kind": "quiver", "graph": {"vertices": 200, "edges": _large_tree_edges(shape)}})
+    code, out, err = run(capsys, *(["--json"] if as_json else []), "quiver", doc)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_QUIVER_DIGESTS[shape, as_json]
 
 
 class TestGoldenStability:

@@ -11,7 +11,13 @@ import pytest
 
 from kminusone.curves import DualGraph
 from kminusone.errors import InputError
-from kminusone.quiver import algebra_basis, burban_quiver, doubled_quiver
+from kminusone.quiver import (
+    Arrow,
+    QuiverWithRelations,
+    algebra_basis,
+    burban_quiver,
+    doubled_quiver,
+)
 
 NOT_A_TREE = "input must be a connected loop-free tree of smooth rational curves"
 
@@ -45,6 +51,14 @@ def count_non_backtracking_walks(graph, max_len):
         if not frontier:
             break
     return total
+
+
+def path_label(quiver, source, arrows):
+    """Oracle for a basis label: e_v for an idempotent, else the arrow names
+    joined by '·'."""
+    if not arrows:
+        return f"e{source + 1}"
+    return "·".join(quiver.arrows[i].name for i in arrows)
 
 
 class TestBurbanQuiver:
@@ -106,8 +120,8 @@ class TestAlgebraBasis:
             q = burban_quiver(tree)
             basis = algebra_basis(q)
             by_len = {}
-            for p in basis.paths:
-                by_len[p.length] = by_len.get(p.length, 0) + 1
+            for _, _, arrows in basis.paths:
+                by_len[len(arrows)] = by_len.get(len(arrows), 0) + 1
             assert by_len.get(0, 0) == tree.vertex_count
             assert by_len.get(1, 0) == 2 * tree.edge_count
 
@@ -122,8 +136,8 @@ class TestAlgebraBasis:
         tree = random_tree(rng)
         q = burban_quiver(tree)
         forbidden = set(q.relations)
-        for p in algebra_basis(q).paths:
-            for x, y in zip(p.arrows, p.arrows[1:]):
+        for _, _, arrows in algebra_basis(q).paths:
+            for x, y in zip(arrows, arrows[1:]):
                 assert (x, y) not in forbidden
 
 
@@ -132,3 +146,45 @@ class TestForestQuiver:
         forest = DualGraph(5, ((0, 1), (2, 3)))
         q = doubled_quiver(forest)
         assert algebra_basis(q).dimension == 4 + 4 + 1
+
+
+class TestBasisOrderAndLabels:
+    """The basis lists its paths by (length, source, arrow indices), each a
+    walk along its arrows, with the label of its arrow names."""
+
+    @staticmethod
+    def check(q):
+        basis = algebra_basis(q)
+        rows = list(basis.paths)
+        assert rows == sorted(rows, key=lambda r: (len(r[2]), r[0], r[2]))
+        assert len(set(rows)) == len(rows) == basis.dimension
+        for source, target, arrows in rows:
+            at = source
+            for i in arrows:
+                assert q.arrows[i].source == at
+                at = q.arrows[i].target
+            assert at == target
+        assert basis.labels(q) == [path_label(q, s, a) for s, _, a in rows]
+        return basis
+
+    def test_random_trees(self):
+        rng = random.Random(40)
+        for _ in range(40):
+            tree = random_tree(rng, max_v=40)
+            assert self.check(burban_quiver(tree)).dimension == tree.vertex_count ** 2
+
+    def test_forests(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            tree = random_tree(rng, max_v=15)
+            edges = tuple(e for e in tree.edges if rng.random() < 0.6)
+            forest = DualGraph(tree.vertex_count, edges)
+            self.check(doubled_quiver(forest))
+
+    def test_quiver_that_is_not_a_tree(self):
+        # a, c: 1 -> 2 and b: 2 -> 3 with a·b = 0
+        q = QuiverWithRelations(3, (Arrow(0, 1, "a"), Arrow(1, 2, "b"), Arrow(0, 1, "c")),
+                                ((0, 1),))
+        basis = self.check(q)
+        assert basis.labels(q) == ["e1", "e2", "e3", "a", "c", "b", "c·b"]
+        assert basis.dimension == 7

@@ -17,7 +17,7 @@ from kminusone.exact import FinAbGroup, IntMatrix, UniPoly
 from kminusone.germs import BranchReport, NewtonEdge
 from kminusone.localsing import LocalSingularity
 from kminusone.parsing import parse_polynomial
-from kminusone.quiver import AlgebraBasis, Arrow, BasisPath, QuiverWithRelations
+from kminusone.quiver import AlgebraBasis, Arrow, QuiverWithRelations
 from kminusone.varieties import (
     DelPezzoRow,
     EnoughWeil,
@@ -56,8 +56,7 @@ FACTORIES = {
     CurveSpec: lambda: CurveSpec(pieces=(GeneralCurvePiece(1, (2,)),)),
     Arrow: lambda: Arrow(0, 1, "a"),
     QuiverWithRelations: _quiver,
-    BasisPath: lambda: BasisPath(0, 1, (0,)),
-    AlgebraBasis: lambda: AlgebraBasis((BasisPath(0, 0), BasisPath(0, 1, (0,))), 2),
+    AlgebraBasis: lambda: AlgebraBasis(((0, 0, ()), (0, 1, (0,))), ("e1", "a")),
     Certificate: lambda: Certificate(CertificateKind.BURBAN_TREE, _quiver()),
     Verdict: lambda: Verdict(Decision.NO, FinAbGroup(1)),
 }
@@ -112,7 +111,6 @@ def test_hash_is_that_of_the_field_tuple():
     # as for a frozen dataclass: set iteration order, and with it every
     # printed output, depends on these values
     assert hash(FinAbGroup(1, (2,))) == hash((1, (2,)))
-    assert hash(BasisPath(0, 1, (0,))) == hash((0, 1, (0,)))
 
 
 def test_records_of_different_classes_never_compare_equal():
