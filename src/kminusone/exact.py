@@ -46,6 +46,14 @@ def power(x, n: int, one):
     return result
 
 
+def quotient(x, y):
+    """The exact quotient x / y of two coefficients: an int when both are
+    ints and y divides x, where '/' would give a float."""
+    if isinstance(x, int) and isinstance(y, int):
+        return Fraction(x, y) if x % y else x // y
+    return x / y
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials
 # ---------------------------------------------------------------------------
@@ -54,9 +62,9 @@ class UniPoly:
     """Univariate polynomial over a field.
 
     Coefficients are stored low degree first; the zero polynomial has an
-    empty coefficient tuple.  Coefficient elements only need field
-    arithmetic through operators (+, -, *, /), so both Fraction and
-    number-field elements work.
+    empty coefficient tuple.  Coefficients are ints, Fractions or
+    number-field elements: only ring operators (+, -, *) and quotient()
+    act on them, so integral coefficients stay ints.
     """
 
     __slots__ = ("coeffs",)
@@ -144,7 +152,7 @@ class UniPoly:
             c = rem[other.degree + k]
             if not c:
                 continue
-            q = c / lead
+            q = quotient(c, lead)
             quot[k] = q
             for i, b in enumerate(other.coeffs):
                 rem[i + k] = rem[i + k] - q * b
@@ -160,7 +168,7 @@ class UniPoly:
         if self.is_zero():
             return self
         lead = self.leading
-        return UniPoly(tuple(c / lead for c in self.coeffs))
+        return UniPoly(tuple(quotient(c, lead) for c in self.coeffs))
 
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(c * i for i, c in enumerate(self.coeffs) if i > 0))
@@ -218,7 +226,7 @@ def uni_ext_gcd(a: UniPoly, b: UniPoly):
     if r0.is_zero():
         return r0, s0, t0
     lead = r0.leading
-    inv = (r0.coeffs[0] * 0 + 1) / lead
+    inv = quotient(r0.coeffs[0] * 0 + 1, lead)
     return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
 
@@ -235,7 +243,7 @@ _PRIME = 2 ** 61 - 1
 
 def _simple_roots_mod_prime(p: UniPoly) -> bool:
     """The certificate of squarefree_decomposition, for p monic of degree >= 1."""
-    if not all(isinstance(c, Fraction) for c in p.coeffs):
+    if not all(isinstance(c, (int, Fraction)) for c in p.coeffs):
         return False
     den = lcm(*(c.denominator for c in p.coeffs))
     if not den % _PRIME:
@@ -300,8 +308,8 @@ def squarefree_decomposition(p: UniPoly):
 class BiPoly:
     """Sparse bivariate polynomial: a finite map (z-exp, w-exp) -> coefficient.
 
-    No zero coefficients are stored.  Coefficients need only field
-    arithmetic, so germs can live over Q or over a simple extension of Q.
+    No zero coefficients are stored; coefficients are those of UniPoly, so
+    germs live over Q (integral ones as ints) or a simple extension of Q.
     """
 
     __slots__ = ("terms",)
@@ -323,7 +331,7 @@ class BiPoly:
         return cls({(0, 0): c})
 
     @classmethod
-    def monomial(cls, a: int, b: int, c=Fraction(1)) -> "BiPoly":
+    def monomial(cls, a: int, b: int, c=1) -> "BiPoly":
         return cls({(a, b): c})
 
     @classmethod
@@ -403,7 +411,7 @@ class BiPoly:
             out = BiPoly()
             out.terms = {(a * n, b * n): c ** n}
             return out
-        return power(self, n, BiPoly.constant(Fraction(1)))
+        return power(self, n, BiPoly.constant(1))
 
     def order(self) -> int:
         """Order at the origin: min(a + b) over the support."""

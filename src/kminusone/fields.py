@@ -15,7 +15,7 @@ from itertools import product
 from math import gcd
 
 from .errors import ExtensionUnsupported, InputError
-from .exact import UniPoly, power, uni_ext_gcd
+from .exact import UniPoly, power, quotient, uni_ext_gcd
 
 
 class NumberField:
@@ -208,12 +208,12 @@ def rational_roots(p: UniPoly):
     while ints[k] == 0:
         k += 1
     if k:
-        roots.append(Fraction(0))
+        roots.append(0)
         ints = ints[k:]
     if len(ints) == 1:
         return roots
     if len(ints) == 2:
-        return roots + [Fraction(-ints[0], ints[1])]
+        return roots + [quotient(-ints[0], ints[1])]
     a0, an = ints[0], ints[-1]
     seen = set()
     for num in _divisors(a0):
@@ -296,8 +296,8 @@ def irreducible_factors(p: UniPoly):
     p = p.monic()
     out = []
     for r in rational_roots(p):
-        out.append((UniPoly((-r, Fraction(1))), 1))
-        p = p // UniPoly((-r, Fraction(1)))
+        out.append((UniPoly((-r, 1)), 1))
+        p = p // UniPoly((-r, 1))
     stack = [p]
     while stack:
         h = stack.pop().monic()

@@ -13,9 +13,11 @@ factored-input fallback keeps the computation possible.
 Isolatedness is local and comes from the same recursion: a factor
 repeated through the origin surfaces as monomial content with exponent
 at least 2 once its strict transform is a chart axis (Casas-Alvero,
-Singularities of Plane Curves, ch. 1-3).  Only germs the recursion
-follows two shifts deep pay for the exact gcd test, which also catches
-repeated factors whose expansion never ends.
+Singularities of Plane Curves, ch. 1-3).  Germs the recursion follows two
+shifts deep are proved reduced at the origin first, which catches repeated
+factors whose expansion never ends; a univariate gcd at a small integer z
+certifies that, and the coprimality of factored input, before any exact
+bivariate gcd runs.  Integral coefficients stay ints.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ def is_isolated(g: BiPoly) -> bool:
 
     This is a local property: a repeated factor away from the origin does
     not matter (use is_squarefree for the global question).  The Newton
-    recursion at the origin decides it, with the exact test of
-    _reduced_at_origin for germs it follows _CONFIRM_DEPTH shifts deep.
+    recursion at the origin decides it, with the test of _reduced_at_origin
+    for germs it follows _CONFIRM_DEPTH shifts deep.
     Raises ExtensionUnsupported when the recursion cannot decide without
     an unsupported field extension.
     """
@@ -105,11 +107,40 @@ def _local_branch_total(g: BiPoly):
 
 @lru_cache(maxsize=1)
 def _reduced_at_origin(g: BiPoly) -> bool:
-    """Exact test that no repeated factor of g vanishes at the origin:
+    """Exact test that no repeated factor of g vanishes at the origin.  In
+    Q[z] that factor is z, and z^2 | g; one h of positive w-degree divides
+    g_w too (h^2 | g), which _coprime_certified(g, g_w) rules out.  Else
     gcd(g, g_z, g_w) is the product of h^(e-1) over the factors h^e of g.
     A Q-irreducible h through the rational point 0 has all its conjugate
     components through it, so the test is geometric."""
+    if all(a > 1 for a, _ in g.terms):
+        return False
+    if _coprime_certified(g, g.derivative_w()):
+        return True
     return not _repeated_part(g).vanishes_at_origin()
+
+
+def _at_z(g: BiPoly, a: int) -> UniPoly:
+    """g(a, w) as a polynomial in w."""
+    coeffs = [0] * (max((b for _, b in g.terms), default=-1) + 1)
+    for (i, b), c in g.terms.items():
+        coeffs[b] += c * a ** i
+    return UniPoly(coeffs)
+
+
+def _coprime_certified(f: BiPoly, g: BiPoly) -> bool:
+    """For f != 0, True only if f and g have no common factor of positive
+    w-degree, proved by an integer a in 1, -1, 2, -2, 0 with lc_w(f)(a) != 0
+    (f(a, w) of full degree) and gcd(f(a, w), g(a, w)) = 1 over Q: such a
+    factor h has lc_w(h) | lc_w(f) in Q[z], so h(a, w) keeps its positive
+    degree and divides both.  False, for the exact gcd to decide, when no
+    point certifies; common factors in Q[z] are not ruled out."""
+    degree = max(b for _, b in f.terms)
+    for a in (1, -1, 2, -2, 0):
+        fa = _at_z(f, a)
+        if fa.degree == degree and uni_gcd(fa, _at_z(g, a)).degree == 0:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +158,7 @@ def _to_zpoly(g: BiPoly):
     for col in cols:
         if col:
             n = max(col)
-            out.append(UniPoly(tuple(col.get(i, Fraction(0)) for i in range(n + 1))))
+            out.append(UniPoly(tuple(col.get(i, 0) for i in range(n + 1))))
         else:
             out.append(UniPoly())
     while out and out[-1].is_zero():
@@ -437,11 +468,20 @@ def branch_count(g: BiPoly) -> BranchReport:
     return BranchReport(g.order(), _local_branch_total(g))
 
 
+def _share_factor_at_origin(f: BiPoly, g: BiPoly) -> bool:
+    """Whether f and g share a factor through the origin: in Q[z] that is
+    z; one of positive w-degree needs the exact gcd unless certified absent."""
+    if all(a for a, _ in f.terms) and all(a for a, _ in g.terms):
+        return True  # z divides both
+    return not _coprime_certified(f, g) and bipoly_gcd(f, g).vanishes_at_origin()
+
+
 def branch_count_factored(factors) -> BranchReport:
     """Branch number of a product of isolated germs with no common factor
-    through the origin; fallback input mode for germs whose recursion
-    would need an unsupported field extension.  A common factor that
-    misses the origin is a unit there and is allowed."""
+    through the origin (certified by specialisation, else the exact gcd);
+    fallback input mode for germs whose recursion would need an
+    unsupported field extension.  A common factor that misses the origin
+    is a unit there and is allowed."""
     factors = list(factors)
     if not factors:
         raise InputError("empty factor list")
@@ -455,7 +495,7 @@ def branch_count_factored(factors) -> BranchReport:
         reports.append(branch_count(f))
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
-            if bipoly_gcd(factors[i], factors[j]).vanishes_at_origin():
+            if _share_factor_at_origin(factors[i], factors[j]):
                 raise InputError(
                     f"factors {i + 1} and {j + 1} share a common factor "
                     "through the origin")

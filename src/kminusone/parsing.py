@@ -161,7 +161,7 @@ class _Parser:
             return BiPoly.var_w()
         if tok.kind == "number":
             self.advance()
-            return BiPoly.constant(Fraction(tok.value))
+            return BiPoly.constant(tok.value)
         if tok.kind == "(":
             if self.depth == MAX_NESTING:
                 raise PolySyntaxError(

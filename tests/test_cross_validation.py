@@ -4,7 +4,8 @@ sympy is not a dependency of the package; when it happens to be
 installed, these tests compare the exact core against an independent
 implementation: Smith invariant factors, bivariate gcds, squarefree
 detection and decomposition, local reducedness at the origin, branch
-counts on binomial products with known answers, and parsed germ texts.
+counts on binomial products with known answers, parsed germ texts, and
+the specialisation certificate that stands in front of the bivariate gcd.
 """
 
 import random
@@ -18,10 +19,12 @@ sympy = pytest.importorskip("sympy")
 from sympy import QQ, ZZ, Matrix, Poly, symbols  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 
+from kminusone import germs  # noqa: E402
+from kminusone.errors import InputError, KMinusOneError, NotIsolated  # noqa: E402
 from kminusone.exact import BiPoly, FinAbGroup, IntMatrix, UniPoly, cokernel, \
     invariant_factors, smith_normal_form, squarefree_decomposition  # noqa: E402
-from kminusone.germs import bipoly_gcd, branch_count, is_isolated, \
-    is_squarefree  # noqa: E402
+from kminusone.germs import BranchReport, bipoly_gcd, branch_count, \
+    branch_count_factored, is_isolated, is_squarefree  # noqa: E402
 from kminusone.parsing import parse_polynomial  # noqa: E402
 
 Z, W, T = symbols("z w t")
@@ -252,3 +255,151 @@ def test_parsed_germs_match_sympy_expand():
         assert ours == Poly(expr, Z, W).as_dict(), text
         zero += not ours
     assert 10 < zero < 150  # cancellation to zero is well represented
+
+
+# ---------------------------------------------------------------------------
+# specialisation certificate in front of the bivariate gcd
+# ---------------------------------------------------------------------------
+
+# factors of w-degree 0, one of them through the origin (z)
+Z_FACTORS = ("z", "z - 1", "z + 2", "z^2 + 1", "2*z - 1")
+# vanish at the first 1, 2, 3, 4 and all 5 points the certificate tries
+UNLUCKY = ("z - 1", "(z - 1)*(z + 1)", "(z - 1)*(z + 1)*(z - 2)",
+           "(z - 1)*(z + 1)*(z - 2)*(z + 2)", "z*(z - 1)*(z + 1)*(z - 2)*(z + 2)")
+
+
+def rand_w_factor(rng, through_origin):
+    """rand_low_factor of positive w-degree."""
+    while True:
+        h = rand_low_factor(rng, through_origin)
+        if any(b for _, b in h.terms):
+            return h
+
+
+def certificate_pair(rng, kind):
+    """(f, g) sharing a factor through the origin (kind 0), one only away
+    from it (1), one of w-degree 0 (2), or (3) with a factor that makes
+    lc_w(f), f(a, w) or g(a, w) vanish at the first points tried, shared
+    through the origin, away from it, or not at all."""
+    u, v = rand_low_factor(rng, True), rand_low_factor(rng, True)
+    if kind == 0:
+        h = rand_w_factor(rng, True)
+    elif kind == 1:
+        h = rand_w_factor(rng, False)
+    elif kind == 2:
+        h = parse_polynomial(rng.choice(Z_FACTORS))
+    else:
+        bad, w = parse_polynomial(rng.choice(UNLUCKY)), BiPoly.var_w()
+        h = rng.choice([BiPoly.constant(1), bad * w + BiPoly.var_z(), bad * w + BiPoly.constant(1)])
+        u = u * bad if rng.random() < 0.3 else u
+        v = v * bad if rng.random() < 0.3 else v
+    return h * u, h * v
+
+
+def gcd_only_branch_count_factored(factors):
+    """branch_count_factored with the pairwise check it had before the
+    certificate: an exact bivariate gcd for every pair."""
+    reports = []
+    for i, f in enumerate(factors):
+        if f.is_zero():
+            raise InputError(f"factor {i + 1} is zero")
+        if not is_isolated(f):
+            raise NotIsolated(f"factor {i + 1} is not an isolated germ")
+        reports.append(branch_count(f))
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            if bipoly_gcd(factors[i], factors[j]).vanishes_at_origin():
+                raise InputError(f"factors {i + 1} and {j + 1} share a common "
+                                 "factor through the origin")
+    return BranchReport(sum(rep.order for rep in reports),
+                        sum(rep.branch_count for rep in reports))
+
+
+def locally_reduced(g):
+    """No factor of g through the origin is repeated, by sympy's factor_list."""
+    _, factors = Poly(to_sympy(g), Z, W).factor_list()
+    return all(e == 1 for f, e in factors if f.eval({Z: 0, W: 0}) == 0)
+
+
+def outcome(count, factors):
+    try:
+        return count(factors)
+    except KMinusOneError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_coprime_certificate_matches_sympy_gcd():
+    rng = random.Random(1789)
+    certified = [0] * 4
+    late = raised = 0
+    for i in range(240):
+        kind = i % 4
+        f, g = certificate_pair(rng, kind)
+        if f.is_zero() or g.is_zero() or not any(b for _, b in f.terms):
+            continue
+        common = sympy.gcd(to_sympy(f), to_sympy(g))
+        cert = germs._coprime_certified(f, g)
+        if cert:  # never True for a common factor of positive w-degree
+            assert Poly(common, Z, W).degree(W) == 0, (f.terms, g.terms)
+        certified[kind] += cert
+        # lc_w(f) or g(a, w) vanishes at the first point, so a later one decided
+        first = germs._at_z(f, 1)
+        late += cert and (first.degree < max(b for _, b in f.terms)
+                          or germs._at_z(g, 1).is_zero())
+        through_origin = common.subs({Z: 0, W: 0}) == 0
+        assert germs._share_factor_at_origin(f, g) == through_origin, (f.terms, g.terms)
+        ours = outcome(branch_count_factored, [f, g])
+        assert ours == outcome(gcd_only_branch_count_factored, [f, g]), (f.terms, g.terms)
+        raised += isinstance(ours, tuple) and "share a common factor" in ours[1]
+    assert certified[0] == certified[1] == 0
+    assert certified[2] > 25 and 8 < certified[3] < 50 and late > 4
+    assert raised > 40
+
+
+def test_reduced_at_origin_matches_sympy_factorization():
+    # squares through the origin, of z, away from it, and of factors whose
+    # leading w-coefficient vanishes at the first points tried
+    rng = random.Random(1848)
+    reduced = 0
+    for i in range(200):
+        kind = i % 5
+        g = rand_low_factor(rng, True)
+        if kind == 0:
+            h = rand_w_factor(rng, True)
+        elif kind == 1:
+            h = parse_polynomial(rng.choice(Z_FACTORS))
+        elif kind == 2:
+            h = rand_w_factor(rng, False)
+        elif kind == 3:
+            h = parse_polynomial(rng.choice(UNLUCKY[:3])) * BiPoly.monomial(0, 1) \
+                + rand_low_factor(rng, rng.random() < 0.5)
+        else:
+            h = BiPoly.constant(1)
+        g = g * h * h
+        expect = locally_reduced(g)
+        assert germs._reduced_at_origin.__wrapped__(g) == expect, g.terms
+        reduced += expect
+    assert 60 < reduced < 160
+
+
+def test_depth_two_fallback_matches_sympy_local_reducedness(monkeypatch):
+    # germs the recursion follows two shifts deep, times a square: the
+    # certificate cannot prove them reduced, so the exact gcd decides
+    real, gcds = germs.bipoly_gcd, []
+    monkeypatch.setattr(germs, "bipoly_gcd", lambda f, g: gcds.append(1) or real(f, g))
+    rng = random.Random(1917)
+    base = parse_polynomial("(w - z - z^2)^2 - z^5")
+    isolated = 0
+    for _ in range(20):
+        through_origin = rng.random() < 0.3
+        h = rand_w_factor(rng, through_origin)
+        g = base * h * h
+        expect = locally_reduced(g)
+        del gcds[:]
+        germs._local_branch_total.cache_clear()
+        germs._reduced_at_origin.cache_clear()
+        assert is_isolated(g) == expect, g.terms
+        if not through_origin:  # the recursion reaches depth 2
+            assert gcds, g.terms
+        isolated += expect
+    assert 8 < isolated < 20

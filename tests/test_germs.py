@@ -8,6 +8,7 @@ The independent oracles used here:
 """
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -370,3 +371,36 @@ class TestBivariateGcd:
     def test_gcd_with_zero(self):
         f = poly("z + w")
         assert bipoly_gcd(f, BiPoly.zero()) == f
+
+
+def deep_shift(k, n):
+    """(w - z - z^2 - ... - z^k)^2 - z^n: u = w - s_k(z) turns it into
+    u^2 - z^n, so it has gcd(2, n) branches, and n > 2k makes the Newton
+    recursion shift k times."""
+    return poly("(w" + "".join(f" - z^{i}" for i in range(1, k + 1)) + f")^2 - z^{n}")
+
+
+class TestDeepShift:
+    # Stated time budget for the whole family: 3 s.  The k = 6, n = 13 germ
+    # alone took 6-8 s while the depth-2 reducedness test was an exact
+    # bivariate gcd over Fraction coefficients.
+    BUDGET_S = 3.0
+
+    def test_branch_counts_within_budget(self, monkeypatch):
+        def no_gcd(f, g):  # reduced germs are certified without it
+            raise AssertionError("bipoly_gcd ran on a reduced germ")
+
+        confirmed = []
+        real = germs._reduced_at_origin.__wrapped__
+        monkeypatch.setattr(germs, "bipoly_gcd", no_gcd)
+        monkeypatch.setattr(germs, "_reduced_at_origin",
+                            lambda g: confirmed.append(g) or real(g))
+        start = time.perf_counter()
+        for k in range(1, 7):
+            for n in (2 * k, 2 * k + 1):
+                germs._local_branch_total.cache_clear()
+                assert branch_count(deep_shift(k, n)).branch_count == gcd(2, n), (k, n)
+        assert time.perf_counter() - start < self.BUDGET_S
+        # the germs with n >= 5 reach depth 2, where reducedness is proved
+        assert confirmed == [deep_shift(k, n) for k in range(1, 7)
+                             for n in (2 * k, 2 * k + 1) if n >= 5]
