@@ -1,4 +1,4 @@
-"""Recursive-descent parser and renderer for germ expressions in z, w.
+"""Parser and renderer for germ expressions in z, w.
 
 Grammar:
     expr   := ['+'|'-'] term (('+'|'-') term)*
@@ -16,6 +16,13 @@ any of them a coefficient above 2^MAX_COEFFICIENT_BITS: beyond a limit the
 input is a syntax error at the operator, raised before a product, power or
 sum is computed, except for the term count of a sum, which is checked on
 its result.  Each check is exact: it takes the exact sizes of its operands.
+
+One regex scan reads the text into (kind, value, offset) tokens for one
+recursive descent; an error's line and column are computed from its offset
+when it is raised.  A factor of one term is a (coefficient, z-exponent,
+w-exponent) triple, multiplied and raised as a triple under the same exact
+checks (with coefficient 0 it is the zero polynomial, of size 0); a BiPoly
+is built only for a sum or a product with a factor of two or more terms.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from math import comb, lcm
 from .errors import PolySyntaxError
 from .exact import BiPoly
 
-# Stated resource limit on parenthesis depth.  Each level costs four
+# Stated resource limit on parenthesis depth.  Each level costs two
 # frames of the recursive descent, so this stays well inside Python's
 # default recursion limit wherever the parser is called from.
 MAX_NESTING = 100
@@ -44,196 +51,207 @@ MAX_TERMS = 500
 MAX_COEFFICIENT_BITS = 16_384
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind: str, value, line: int, column: int):
-        # kind: one of z w number + - * ^ ( ) end; value: an int if written without '/'
-        self.kind, self.value, self.line, self.column = kind, value, line, column
+class _Failure(Exception):
+    """A syntax error at a character offset of the text: (message, offset)."""
 
 
-# a number p or p/q, an operator or variable, a newline, blanks, or any other character
-_TOKEN = re.compile(r"([0-9]+)(/([0-9]*))?|([zw+*^()-])|(\n)|[ \t\r]+|(.)", re.S)
+# blanks, then a variable or operator, a number p or p/q, or any other
+# character: only trailing blanks are in no match, so the offsets add up
+_TOKEN = re.compile(r"([ \t\r\n]*)(?:([zw+*^()-])|([0-9]+)(/([0-9]*))?|([^ \t\r\n]))")
 
 
-def _tokenize(text: str):
-    tokens, line, line_start = [], 1, 0
-    for m in _TOKEN.finditer(text):
-        col = m.start() - line_start + 1
-        num, slash, den, op, newline, other = m.groups()
+def _tokenize(text: str) -> list:
+    """(kind, value, offset) tokens, the last ('end', None, len(text)); kind
+    is one of z w number + - * ^ ( ), and a number's value is an int if
+    written without '/'."""
+    tokens, offset = [], 0
+    for blanks, op, num, slash, den, other in _TOKEN.findall(text):
+        offset += len(blanks)
         if op:
-            tokens.append(_Token(op, op, line, col))
-        elif newline:
-            line, line_start = line + 1, m.end()
-        elif other:
-            raise PolySyntaxError(f"unexpected character {other!r}", line, col)
-        elif num:
-            if slash and not den:
-                raise PolySyntaxError("expected digits after '/'", line, m.end() - line_start + 1)
-            try:
-                p, q = int(num), int(den or 1)
-            except ValueError:  # past Python's limit on digits converted to int
-                limit = sys.get_int_max_str_digits()
-                raise PolySyntaxError(f"number with more than {limit} digits",
-                                      line, col) from None
-            if not q:
-                raise PolySyntaxError("zero denominator", line, col)
-            tokens.append(_Token("number", Fraction(p, q) if slash else p, line, col))
-    tokens.append(_Token("end", None, line, len(text) - line_start + 1))
+            tokens.append((op, None, offset))
+            offset += 1
+            continue
+        if other:
+            raise _Failure(f"unexpected character {other!r}", offset)
+        if slash and not den:
+            raise _Failure("expected digits after '/'", offset + len(num) + 1)
+        try:
+            p, q = int(num), int(den or 1)
+        except ValueError:  # past Python's limit on digits converted to int
+            limit = sys.get_int_max_str_digits()
+            raise _Failure(f"number with more than {limit} digits", offset) from None
+        if not q:
+            raise _Failure("zero denominator", offset)
+        tokens.append(("number", Fraction(p, q) if slash else p, offset))
+        offset += len(num) + len(slash)
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = iter(tokens)  # ends with an 'end' token, never advanced past
-        self.cur = next(self.tokens)
-        self.depth = 0
-
-    def advance(self) -> _Token:
-        tok = self.cur
-        self.cur = next(self.tokens)
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        if self.cur.kind != kind:
-            raise PolySyntaxError(
-                f"expected {kind!r}, found {self.cur.kind!r}",
-                self.cur.line, self.cur.column)
-        return self.advance()
-
-    def parse_expr(self) -> BiPoly:
-        sign = 1
-        if self.cur.kind in "+-":
-            if self.advance().kind == "-":
-                sign = -1
-        result = self.parse_term()
-        if sign < 0:
-            result = -result
-        weight = None  # a bound on the sum's _weight, kept term by term
-        while self.cur.kind in "+-":
-            op = self.advance()
-            term = self.parse_term()
-            weight = _weight(term, *(weight or _weight(result)))
-            _check_bits(op, *map(_bits, weight[:2]))
-            result = result + term if op.kind == "+" else result - term
-            if len(result.terms) > MAX_TERMS:  # checked after: a sum costs no more
-                raise PolySyntaxError(f"more than {MAX_TERMS} terms", op.line, op.column)
-        return result
-
-    def parse_term(self) -> BiPoly:
-        result = self.parse_factor()
-        while self.cur.kind == "*":
-            op = self.advance()
-            factor = self.parse_factor()
-            _check_size(op, len(result.terms) * len(factor.terms),
-                        *map(sum, zip(_size(result), _size(factor))))
-            result = result * factor
-        return result
-
-    def parse_factor(self) -> BiPoly:
-        base = self.parse_base()
-        if self.cur.kind == "^":
-            op = self.advance()
-            tok = self.cur
-            if tok.kind != "number":
-                raise PolySyntaxError("expected a natural number exponent",
-                                      tok.line, tok.column)
-            if not isinstance(tok.value, int):  # written with '/'
-                raise PolySyntaxError("exponent must be a natural number",
-                                      tok.line, tok.column)
-            self.advance()
-            n, k = tok.value, len(base.terms)
-            if n > MAX_EXPONENT:
-                raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", op.line, op.column)
-            # the n-th power of k terms has at most comb(n + k - 1, k - 1) terms
-            _check_size(op, comb(n + k - 1, k - 1) if k else 1,
-                        *(n * d for d in _size(base)))
-            return base ** n
-        return base
-
-    def parse_base(self) -> BiPoly:
-        tok = self.cur
-        if tok.kind == "z":
-            self.advance()
-            return BiPoly.var_z()
-        if tok.kind == "w":
-            self.advance()
-            return BiPoly.var_w()
-        if tok.kind == "number":
-            self.advance()
-            return BiPoly.constant(tok.value)
-        if tok.kind == "(":
-            if self.depth == MAX_NESTING:
-                raise PolySyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING}",
-                    tok.line, tok.column)
-            self.advance()
-            self.depth += 1
-            inner = self.parse_expr()
-            self.depth -= 1
-            self.expect(")")
-            return inner
-        raise PolySyntaxError(
-            f"expected 'z', 'w', a number or '(', found {tok.kind!r}",
-            tok.line, tok.column)
+def _expr(tokens: list, i: int, depth: int):
+    """The value of the expr at tokens[i], a BiPoly or a triple, and the
+    index of the token after it."""
+    sign = tokens[i][0]
+    if sign in "+-":
+        i += 1
+    result, i = _term(tokens, i, depth)
+    if sign == "-":
+        result = (-result[0], result[1], result[2]) if type(result) is tuple else -result
+    if tokens[i][0] not in "+-":
+        return result, i
+    result = _poly(result)
+    num, den = _weight(result.terms.items())  # a bound on the sum's, kept term by term
+    while tokens[i][0] in "+-":
+        op, _, offset = tokens[i]
+        term, i = _term(tokens, i + 1, depth)
+        num, den = _weight(_items(term), num, den)
+        if (max(num, den) - 1).bit_length() > MAX_COEFFICIENT_BITS:  # den >= 1
+            raise _Failure(f"a coefficient above 2^{MAX_COEFFICIENT_BITS}", offset)
+        result = result + _poly(term) if op == "+" else result - _poly(term)
+        if len(result.terms) > MAX_TERMS:  # checked after: a sum costs no more
+            raise _Failure(f"more than {MAX_TERMS} terms", offset)
+    return result, i
 
 
-def _weight(p: BiPoly, num: int = 0, den: int = 1, z_degree: int = 0, w_degree: int = 0):
+def _term(tokens: list, i: int, depth: int):
+    """The value of the term at tokens[i] (see _expr), and the index after it."""
+    result = star = None
+    while True:
+        kind, value, offset = tokens[i]
+        if kind == "z":
+            value = (1, 1, 0)
+        elif kind == "w":
+            value = (1, 0, 1)
+        elif kind == "number":
+            value = (value, 0, 0)
+        elif kind == "(":
+            if depth == MAX_NESTING:
+                raise _Failure(f"parentheses nested deeper than {MAX_NESTING}", offset)
+            value, i = _expr(tokens, i + 1, depth + 1)
+            kind, _, offset = tokens[i]
+            if kind != ")":
+                raise _Failure(f"expected ')', found {kind!r}", offset)
+        else:
+            raise _Failure(f"expected 'z', 'w', a number or '(', found {kind!r}", offset)
+        i += 1
+        if tokens[i][0] == "^":
+            value = _power(value, tokens[i][2], tokens[i + 1])
+            i += 2
+        result = value if star is None else _product(result, value, star)
+        if tokens[i][0] != "*":
+            return result, i
+        star = tokens[i][2]
+        i += 1
+
+
+def _power(base, offset: int, exponent: tuple):
+    """base ^ n for the '^' at offset and the exponent token (kind, n, offset)."""
+    kind, n, at = exponent
+    if kind != "number":
+        raise _Failure("expected a natural number exponent", at)
+    if type(n) is not int:  # written with '/'
+        raise _Failure("exponent must be a natural number", at)
+    if n > MAX_EXPONENT:
+        raise _Failure(f"exponent above {MAX_EXPONENT}", offset)
+    k, z, w, p, q = _size(base)
+    # the n-th power of k terms has at most comb(n + k - 1, k - 1) terms
+    _check_size(offset, comb(n + k - 1, k - 1) if k else 1, n * z, n * w, n * p, n * q)
+    if type(base) is not tuple:
+        return base ** n
+    return _times((1, 0, 0), base, n) if n else (1, 0, 0)
+
+
+def _product(x, y, offset: int):
+    """x * y for the '*' at offset."""
+    xt, xz, xw, xp, xq = _size(x)
+    yt, yz, yw, yp, yq = _size(y)
+    _check_size(offset, xt * yt, xz + yz, xw + yw, xp + yp, xq + yq)
+    if type(x) is tuple and type(y) is tuple:
+        return _times(x, y)
+    return _poly(x) * _poly(y)
+
+
+def _times(x: tuple, y: tuple, n: int = 1) -> tuple:
+    """The triple x * y^n (n >= 1): every product and power of triples."""
+    c, a, b = y
+    if n != 1:
+        c, a, b = c ** n, a * n, b * n
+    return x[0] * c, x[1] + a, x[2] + b
+
+
+def _poly(value) -> BiPoly:
+    if type(value) is not tuple:
+        return value
+    poly = BiPoly()
+    poly.terms = dict(_items(value))
+    return poly
+
+
+def _items(value):
+    """The ((z-exponent, w-exponent), coefficient) terms of a value."""
+    if type(value) is tuple:
+        c, a, b = value
+        return (((a, b), c),) if c else ()
+    return value.terms.items()
+
+
+def _weight(items, num: int = 0, den: int = 1):
     """(the sum of the |D * c|, D) for the least common denominator D of the
-    coefficients c of p, and the largest exponents of z and w in p, each
-    continued from the same four of other terms; one pass over the terms."""
-    for (a, b), c in p.terms.items():
-        if a > z_degree:
-            z_degree = a
-        if b > w_degree:
-            w_degree = b
+    coefficients c of the terms, continued from the same two of other terms."""
+    for _, c in items:
         d = c.denominator
         if d != den:
             common = lcm(den, d)
             num, den = num * (common // den), common
         num += abs(c.numerator) * (den // d)
-    return num, den, z_degree, w_degree
+    return num, den
 
 
-def _bits(x: int) -> int:
-    """ceil(log2(x)) for x >= 1, and 0 for x = 0."""
-    return max(x - 1, 0).bit_length()
+def _size(value) -> tuple:
+    """The number of terms of a value, and bounds that add under products and
+    scale by n under n-th powers: the largest exponents of z and w in it, and
+    ceil(log2) of both parts of its _weight; all 0 for the zero polynomial."""
+    if type(value) is tuple:
+        c, z_degree, w_degree = value
+        terms, num, den = 1, abs(c.numerator), c.denominator
+    else:
+        z_degree = w_degree = 0
+        for a, b in value.terms:
+            if a > z_degree:
+                z_degree = a
+            if b > w_degree:
+                w_degree = b
+        terms, (num, den) = len(value.terms), _weight(value.terms.items())
+    if not num:
+        return 0, 0, 0, 0, 0
+    return terms, z_degree, w_degree, (num - 1).bit_length(), (den - 1).bit_length()
 
 
-def _size(p: BiPoly) -> tuple:
-    """Bounds that add under products and scale by n under n-th powers: the
-    largest exponents of z and w in p, and the _bits of both parts of its
-    _weight."""
-    num, den, z_degree, w_degree = _weight(p)
-    return z_degree, w_degree, _bits(num), _bits(den)
-
-
-def _check_size(op: _Token, terms: int, z_degree: int, w_degree: int, *bits) -> None:
-    """Raise at op when its result, with at most terms terms and these
-    degrees and bits (see _size), could pass a size limit."""
-    if max(z_degree, w_degree) > MAX_EXPONENT:
-        raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", op.line, op.column)
-    if min(terms, (z_degree + 1) * (w_degree + 1)) > MAX_TERMS:
-        raise PolySyntaxError(f"more than {MAX_TERMS} terms", op.line, op.column)
-    _check_bits(op, *bits)
-
-
-def _check_bits(op: _Token, *bits) -> None:
-    if max(bits) > MAX_COEFFICIENT_BITS:
-        raise PolySyntaxError(f"a coefficient above 2^{MAX_COEFFICIENT_BITS}",
-                              op.line, op.column)
+def _check_size(offset: int, terms: int, z: int, w: int, num_bits: int, den_bits: int) -> None:
+    """Fail at offset when a result with at most terms terms and these
+    degrees and bits (see _size) could pass a size limit."""
+    if z > MAX_EXPONENT or w > MAX_EXPONENT:
+        raise _Failure(f"exponent above {MAX_EXPONENT}", offset)
+    if terms > MAX_TERMS and (z + 1) * (w + 1) > MAX_TERMS:
+        raise _Failure(f"more than {MAX_TERMS} terms", offset)
+    if num_bits > MAX_COEFFICIENT_BITS or den_bits > MAX_COEFFICIENT_BITS:
+        raise _Failure(f"a coefficient above 2^{MAX_COEFFICIENT_BITS}", offset)
 
 
 def parse_polynomial(text: str) -> BiPoly:
     """Parse a germ expression into a canonical BiPoly (like terms
     collected, zero coefficients dropped)."""
-    parser = _Parser(_tokenize(text))
-    result = parser.parse_expr()
-    end = parser.cur
-    if end.kind != "end":
-        raise PolySyntaxError(f"unexpected {end.kind!r} after expression",
-                              end.line, end.column)
-    return result
+    try:
+        tokens = _tokenize(text)
+        result, i = _expr(tokens, 0, 0)
+        kind, _, offset = tokens[i]
+        if kind != "end":
+            raise _Failure(f"unexpected {kind!r} after expression", offset)
+    except _Failure as failure:
+        message, offset = failure.args
+        line = text.count("\n", 0, offset) + 1
+        raise PolySyntaxError(message, line, offset - text.rfind("\n", 0, offset)) from None
+    return _poly(result)
 
 
 def _monomial_str(a: int, b: int, coeff: Fraction) -> str:
