@@ -17,7 +17,7 @@ for a in q.arrows:
 print("  relations:", ", ".join(
     f"{q.arrows[i].name}{q.arrows[j].name} = 0" for i, j in q.relations))
 basis = algebra_basis(q)
-print(f"  basis = {{{', '.join(basis.labels(q))}}}, dimension {basis.dimension}")
+print(f"  basis = {{{', '.join(basis.labels)}}}, dimension {basis.dimension}")
 
 print()
 print("A star with three leaves:")

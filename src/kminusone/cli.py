@@ -321,7 +321,7 @@ def render_curve_report(spec: CurveSpec) -> Report:
 
 
 def render_quiver_report(q: QuiverWithRelations, basis: AlgebraBasis) -> Report:
-    data = {"quiver": _quiver(q), "dimension": basis.dimension, "basis": basis.labels(q)}
+    data = {"quiver": _quiver(q), "dimension": basis.dimension, "basis": basis.labels}
     return Report(data, lambda d: _quiver_lines(d["quiver"]) + [
         f"algebra dimension = {d['dimension']}", "basis: " + ", ".join(d["basis"])])
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .exact import FinAbGroup
-from .records import record
+from .records import integers, record
 
 
 @record
@@ -32,7 +32,8 @@ class DualGraph:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise ValueError("negative vertex count")
-        edges = tuple(tuple(sorted((int(u), int(v)))) for u, v in self.edges)
+        ends = integers([end for u, v in self.edges for end in (u, v)], "edge ends")
+        edges = tuple((u, v) if u <= v else (v, u) for u, v in zip(ends[::2], ends[1::2]))
         for u, v in edges:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range")
@@ -98,7 +99,7 @@ class GeneralCurvePiece:
     def __post_init__(self):
         if self.irreducible_components < 1:
             raise ValueError("a connected curve has at least one component")
-        brs = tuple(int(b) for b in self.branch_numbers)
+        brs = integers(self.branch_numbers, "branch numbers")
         if any(b < 1 for b in brs):
             raise ValueError("branch numbers are >= 1")
         object.__setattr__(self, "branch_numbers", brs)

@@ -27,7 +27,7 @@ from math import gcd, lcm, prod
 from operator import add, mul, sub
 
 from .errors import InputError
-from .records import record
+from .records import integers, record
 
 # Exact rational scalar: always reduced, denominator > 0.
 Rational = Fraction
@@ -319,7 +319,7 @@ class BiPoly:
         if terms:
             for (a, b), c in terms.items():
                 if c:
-                    t[(int(a), int(b))] = c
+                    t[integers((a, b), "exponents")] = c
         self.terms = t
 
     @classmethod
@@ -406,11 +406,6 @@ class BiPoly:
         return out
 
     def __pow__(self, n: int) -> "BiPoly":
-        if len(self.terms) == 1 and n > 0:  # a monomial's power is one term
-            ((a, b), c), = self.terms.items()
-            out = BiPoly()
-            out.terms = {(a * n, b * n): c ** n}
-            return out
         return power(self, n, BiPoly.constant(1))
 
     def order(self) -> int:
@@ -463,7 +458,7 @@ class IntMatrix:
             raise ValueError("negative matrix dimensions")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        object.__setattr__(self, "entries", integers(self.entries, "matrix entries"))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -692,7 +687,7 @@ class FinAbGroup:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        facs = tuple(int(f) for f in self.invariant_factors)
+        facs = integers(self.invariant_factors, "invariant factors")
         for f in facs:
             if f < 2:
                 raise ValueError("invariant factors must be >= 2")

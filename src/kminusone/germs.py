@@ -23,12 +23,12 @@ bivariate gcd runs.  Integral coefficients stay ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd
 
 from .errors import ExtensionUnsupported, InputError, KMinusOneError, NotIsolated
-from .exact import BiPoly, UniPoly, squarefree_decomposition, uni_gcd
-from .fields import NumberField, irreducible_factors
+from .exact import BiPoly, UniPoly, quotient, squarefree_decomposition, uni_gcd
+from .fields import NFElem, NumberField, irreducible_factors
 from .records import record
 
 # Stated resource limit: the Newton recursion goes at most this many
@@ -83,9 +83,9 @@ def is_isolated(g: BiPoly) -> bool:
     singular point of xy + g(z, w) = 0 at the origin is isolated.
 
     This is a local property: a repeated factor away from the origin does
-    not matter (use is_squarefree for the global question).  The Newton
-    recursion at the origin decides it, with the test of _reduced_at_origin
-    for germs it follows _CONFIRM_DEPTH shifts deep.
+    not matter.  The Newton recursion at the origin decides it, with the
+    test of _reduced_at_origin for germs it follows _CONFIRM_DEPTH shifts
+    deep.
     Raises ExtensionUnsupported when the recursion cannot decide without
     an unsupported field extension.
     """
@@ -107,17 +107,22 @@ def _local_branch_total(g: BiPoly):
 
 @lru_cache(maxsize=1)
 def _reduced_at_origin(g: BiPoly) -> bool:
-    """Exact test that no repeated factor of g vanishes at the origin.  In
-    Q[z] that factor is z, and z^2 | g; one h of positive w-degree divides
-    g_w too (h^2 | g), which _coprime_certified(g, g_w) rules out.  Else
-    gcd(g, g_z, g_w) is the product of h^(e-1) over the factors h^e of g.
-    A Q-irreducible h through the rational point 0 has all its conjugate
-    components through it, so the test is geometric."""
-    if all(a > 1 for a, _ in g.terms):
+    """Exact test that no repeated factor of g vanishes at the origin: h^2
+    divides g exactly when h divides g, g_z and g_w, and h = z is the case
+    z^2 | g.  A Q-irreducible h through the rational point 0 has all its
+    conjugate components through it, so the test is geometric."""
+    return not _share_factor_at_origin(g, g.derivative_z(), g.derivative_w())
+
+
+def _share_factor_at_origin(f: BiPoly, *others: BiPoly) -> bool:
+    """Whether f and the others share a factor through the origin: in Q[z]
+    that is z; one of positive w-degree is ruled out by _coprime_certified
+    on f and the last of the others, else decided by their exact gcd."""
+    if all(a for h in (f, *others) for a, _ in h.terms):
+        return True  # z divides them all
+    if _coprime_certified(f, others[-1]):
         return False
-    if _coprime_certified(g, g.derivative_w()):
-        return True
-    return not _repeated_part(g).vanishes_at_origin()
+    return reduce(bipoly_gcd, others, f).vanishes_at_origin()
 
 
 def _at_z(g: BiPoly, a: int) -> UniPoly:
@@ -176,13 +181,7 @@ def _from_zpoly(zp) -> BiPoly:
 
 
 def _zp_content(zp) -> UniPoly:
-    c = UniPoly()
-    for u in zp:
-        if not u.is_zero():
-            c = uni_gcd(c, u) if not c.is_zero() else u.monic()
-        if c.degree == 0:
-            break
-    return c
+    return reduce(uni_gcd, zp, UniPoly())
 
 
 def _zp_primitive(zp):
@@ -235,20 +234,6 @@ def _normalize_biv(g: BiPoly) -> BiPoly:
     zp = _to_zpoly(g)
     lead = zp[-1].leading
     return g.scale(Fraction(1) / lead)
-
-
-def is_squarefree(g: BiPoly) -> bool:
-    """Squarefree test over Q via gcd(g, g_z, g_w); in characteristic zero
-    this is constant exactly for squarefree g."""
-    if g.is_zero():
-        return False
-    if g.total_degree() == 0:
-        return True
-    return _repeated_part(g).total_degree() == 0
-
-
-def _repeated_part(g: BiPoly) -> BiPoly:
-    return bipoly_gcd(bipoly_gcd(g, g.derivative_z()), g.derivative_w())
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +311,9 @@ def newton_polygon(g: BiPoly):
 # ---------------------------------------------------------------------------
 
 def _bezout_chart(q: int, p: int):
-    """Nonnegative (alpha, beta) with p*beta - q*alpha = 1."""
-    # extended gcd: x*p + y*q = 1
-    old_r, r = p, q
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        k = old_r // r
-        old_r, r = r, old_r - k * r
-        old_x, x = x, old_x - k * x
-        old_y, y = y, old_y - k * y
-    beta, alpha = old_x, -old_y
-    while alpha < 0 or beta < 0:
-        alpha += p
-        beta += q
-    return alpha, beta
-
-
-def _lift_terms(terms, field: NumberField):
-    return {k: field.from_rational(c) for k, c in terms.items()}
+    """Nonnegative (alpha, beta) with p*beta - q*alpha = 1, beta in 1..q."""
+    beta = pow(p, -1, q) or q
+    return (p * beta - 1) // q, beta
 
 
 def _recursion_germ(terms, edge: NewtonEdge, gamma):
@@ -387,32 +356,25 @@ def _roots_of_multiple_factor(fac: UniPoly, field):
     """Split a squarefree factor carrying multiple roots into usable roots:
     yields (gamma, conjugate_count, field_of_gamma).  Conjugate roots have
     conjugate branch structures, so one representative is recursed and the
-    result multiplied by the factor degree."""
-    if field is None:
-        out = []
-        for irr, d in irreducible_factors(fac):
-            if d == 1:
-                out.append((-irr.coeffs[0], 1, None))
-            else:
-                ext = NumberField(irr)
-                out.append((ext.generator, d, ext))
-        return out
-    # already over an extension: only roots inside it are reachable
-    if all(c.is_rational() for c in fac.coeffs):
-        rational_fac = UniPoly(tuple(c.as_rational() for c in fac.coeffs))
-        out = []
-        leftover = rational_fac.monic()
-        for irr, d in irreducible_factors(rational_fac):
-            if d == 1:
-                out.append((field.from_rational(-irr.coeffs[0]), 1, field))
-                leftover = leftover // irr
-        if leftover.degree <= 0:
-            return out
-    elif fac.degree == 1:
-        return [(-fac.coeffs[0] / fac.coeffs[1], 1, field)]
-    raise ExtensionUnsupported(
-        "a multiple root needs a second field extension; "
-        "re-run with --factors supplying the irreducible factors")
+    result multiplied by the factor degree.  A rational factor is split by
+    irreducible_factors: its rational roots stay rational, and a factor of
+    degree >= 2 adjoins Q[t]/(m), over Q only.  Any other factor must be
+    linear, with its root in the current field."""
+    if field is not None and all(c.is_rational() for c in fac.coeffs):
+        fac = UniPoly(tuple(c.as_rational() for c in fac.coeffs))
+    out = []
+    rational = not isinstance(fac.leading, NFElem)
+    for irr, d in irreducible_factors(fac) if rational else [(fac, fac.degree)]:
+        if d == 1:
+            out.append((quotient(-irr.coeffs[0], irr.coeffs[1]), 1, field))
+        elif field is None:
+            ext = NumberField(irr)
+            out.append((ext.generator, d, ext))
+        else:
+            raise ExtensionUnsupported(
+                "a multiple root needs a second field extension; "
+                "re-run with --factors supplying the irreducible factors")
+    return out
 
 
 def _branch_total(terms, field, depth: int, germ: BiPoly) -> int:
@@ -444,8 +406,7 @@ def _branch_total(terms, field, depth: int, germ: BiPoly) -> int:
                 count += fac.degree
                 continue
             for gamma, copies, gfield in _roots_of_multiple_factor(fac, field):
-                sub = terms if gfield is field else _lift_terms(terms, gfield)
-                shifted = _recursion_germ(sub, edge, gamma)
+                shifted = _recursion_germ(terms, edge, gamma)
                 count += copies * _branch_total(shifted, gfield, depth + 1,
                                                 germ)
     return count
@@ -466,14 +427,6 @@ def branch_count(g: BiPoly) -> BranchReport:
             "branch counting requires an isolated germ: vanishing at the "
             "origin, with no repeated factor through the origin")
     return BranchReport(g.order(), _local_branch_total(g))
-
-
-def _share_factor_at_origin(f: BiPoly, g: BiPoly) -> bool:
-    """Whether f and g share a factor through the origin: in Q[z] that is
-    z; one of positive w-degree needs the exact gcd unless certified absent."""
-    if all(a for a, _ in f.terms) and all(a for a, _ in g.terms):
-        return True  # z divides both
-    return not _coprime_certified(f, g) and bipoly_gcd(f, g).vanishes_at_origin()
 
 
 def branch_count_factored(factors) -> BranchReport:

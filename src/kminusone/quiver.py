@@ -51,16 +51,11 @@ class AlgebraBasis:
     labels: e_v for the idempotent at v, else the arrow names joined by '·'."""
 
     paths: tuple
-    path_labels: tuple
+    labels: tuple
 
     @property
     def dimension(self) -> int:
         return len(self.paths)
-
-    def labels(self, quiver: QuiverWithRelations) -> list:
-        """The labels, which were built from the arrow names of quiver when
-        the basis was enumerated."""
-        return list(self.path_labels)
 
 
 def doubled_quiver(graph: DualGraph) -> QuiverWithRelations:

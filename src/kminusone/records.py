@@ -7,6 +7,8 @@ as in dataclass, so set order and every printed output stay; repr
 keeps construction, ``==`` and ``hash`` as fast as dataclass's.
 """
 
+from operator import index
+
 _CODE = """def __init__(self, {0}):
     {1}{2}
 def __eq__(self, other):
@@ -17,6 +19,16 @@ def __hash__(self):
 
 def _refuse(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def integers(values, what: str) -> tuple:
+    """values as a tuple of ints for a constructor check: anything with
+    ``__index__`` passes (ints, bools, sympy Integers); a float, Fraction or
+    string raises ValueError where int() would truncate or parse it."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
 
 
 def record(cls):

@@ -21,7 +21,7 @@ from math import comb
 from .errors import InputError
 from .exact import FinAbGroup, IntMatrix, cokernel
 from .localsing import ordinary_double_point
-from .records import record
+from .records import integers, record
 
 
 class EnoughWeil(Enum):
@@ -244,7 +244,7 @@ class SurfaceResolutionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "singularity_orders",
-                           tuple(int(n) for n in self.singularity_orders))
+                           integers(self.singularity_orders, "singularity orders"))
         if any(n < 2 for n in self.singularity_orders):
             raise ValueError("cyclic quotient singularity orders are >= 2")
 

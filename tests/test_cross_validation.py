@@ -24,10 +24,15 @@ from kminusone.errors import InputError, KMinusOneError, NotIsolated  # noqa: E4
 from kminusone.exact import BiPoly, FinAbGroup, IntMatrix, UniPoly, cokernel, \
     invariant_factors, smith_normal_form, squarefree_decomposition  # noqa: E402
 from kminusone.germs import BranchReport, bipoly_gcd, branch_count, \
-    branch_count_factored, is_isolated, is_squarefree  # noqa: E402
+    branch_count_factored, is_isolated  # noqa: E402
 from kminusone.parsing import parse_polynomial  # noqa: E402
 
 Z, W, T = symbols("z w t")
+
+
+def is_squarefree(g):
+    """Squarefree over Q: gcd(g, g_z, g_w) is constant (characteristic 0)."""
+    return bipoly_gcd(bipoly_gcd(g, g.derivative_z()), g.derivative_w()).total_degree() == 0
 
 
 def to_sympy(g):

@@ -24,10 +24,14 @@ from kminusone.germs import (
     branch_count,
     branch_count_factored,
     is_isolated,
-    is_squarefree,
     newton_polygon,
 )
 from kminusone.parsing import parse_polynomial as poly
+
+
+def is_squarefree(g):
+    """Squarefree over Q: gcd(g, g_z, g_w) is constant (characteristic 0)."""
+    return bipoly_gcd(bipoly_gcd(g, g.derivative_z()), g.derivative_w()).total_degree() == 0
 
 
 class TestOrder:

@@ -93,7 +93,7 @@ class TestAlgebraBasis:
         q = burban_quiver(DualGraph(2, ((0, 1),)))
         basis = algebra_basis(q)
         assert basis.dimension == 4
-        assert set(basis.labels(q)) == {"e1", "e2", "a", "a*"}
+        assert set(basis.labels) == {"e1", "e2", "a", "a*"}
 
     def test_single_vertex(self):
         q = burban_quiver(DualGraph(1))
@@ -164,7 +164,7 @@ class TestBasisOrderAndLabels:
                 assert q.arrows[i].source == at
                 at = q.arrows[i].target
             assert at == target
-        assert basis.labels(q) == [path_label(q, s, a) for s, _, a in rows]
+        assert basis.labels == tuple(path_label(q, s, a) for s, _, a in rows)
         return basis
 
     def test_random_trees(self):
@@ -186,5 +186,5 @@ class TestBasisOrderAndLabels:
         q = QuiverWithRelations(3, (Arrow(0, 1, "a"), Arrow(1, 2, "b"), Arrow(0, 1, "c")),
                                 ((0, 1),))
         basis = self.check(q)
-        assert basis.labels(q) == ["e1", "e2", "e3", "a", "c", "b", "c·b"]
+        assert basis.labels == ("e1", "e2", "e3", "a", "c", "b", "c·b")
         assert basis.dimension == 7

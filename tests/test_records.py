@@ -5,6 +5,7 @@ the messages of their constructor checks."""
 
 import importlib
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from kminusone import records
 from kminusone.blowup import BlowupPipeline, BlowupStep
 from kminusone.curves import CurveSpec, DualGraph, GeneralCurvePiece
 from kminusone.errors import InputError, SpecValidationError
-from kminusone.exact import FinAbGroup, IntMatrix, UniPoly
+from kminusone.exact import BiPoly, FinAbGroup, IntMatrix, UniPoly
 from kminusone.germs import BranchReport, NewtonEdge
 from kminusone.localsing import LocalSingularity
 from kminusone.parsing import parse_polynomial
@@ -170,3 +171,41 @@ def test_constructor_checks_keep_their_messages(build, error, message):
         build()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# every integer field is checked, not truncated: int() would read 2.5 as 2
+@pytest.mark.parametrize("build, message", [
+    (lambda: IntMatrix.from_rows([[2.5]]), "matrix entries must be integers"),
+    (lambda: FinAbGroup(0, (2.9,)), "invariant factors must be integers"),
+    (lambda: DualGraph(2, ((0, 1.9),)), "edge ends must be integers"),
+    (lambda: GeneralCurvePiece(1, (Fraction(3, 2),)), "branch numbers must be integers"),
+    (lambda: SurfaceResolutionSpec(1, 1, 0, singularity_orders=("3",)),
+     "singularity orders must be integers"),
+    (lambda: BiPoly({(1.7, 0): 1}), "exponents must be integers"),
+], ids=["IntMatrix", "FinAbGroup", "DualGraph", "GeneralCurvePiece",
+        "SurfaceResolutionSpec", "BiPoly"])
+def test_non_integers_are_refused_not_truncated(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+class _Index:
+    """An integer type that is not int, as sympy's Integer: it has __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_ints_bools_and_index_types_are_accepted():
+    entries = IntMatrix.from_rows([[True, _Index(3)]]).entries
+    assert entries == (1, 3) and all(type(x) is int for x in entries)
+    assert FinAbGroup(0, (_Index(2), 4)).invariant_factors == (2, 4)
+    assert DualGraph(2, ((_Index(1), False),)).edges == ((0, 1),)
+    assert GeneralCurvePiece(1, (_Index(2),)).branch_numbers == (2,)
+    orders = SurfaceResolutionSpec(1, 1, 0, singularity_orders=(_Index(2),)).singularity_orders
+    assert orders == (2,)
+    assert BiPoly({(_Index(1), True): 1}).terms == {(1, 1): 1}
