@@ -8,7 +8,9 @@ whose branches live over extensions of Q, like z^2 + w^2, cost nothing
 extra.  Only a *multiple* root forces a coordinate shift: rational roots
 shift over Q, irrational ones adjoin a single certified extension
 Q[t]/(m); anything beyond that raises ExtensionUnsupported and the
-factored-input fallback keeps the computation possible.
+factored-input fallback keeps the computation possible.  A germ with one
+edge c*(t - gamma)^l, monic of degree l in its unit-step variable, first
+shifts by its whole root (Tschirnhausen), which fixes the origin and br_0.
 
 Isolatedness is local and comes from the same recursion: a factor
 repeated through the origin surfaces as monomial content with exponent
@@ -377,6 +379,25 @@ def _roots_of_multiple_factor(fac: UniPoly, field):
     return out
 
 
+def _whole_root_shift(terms, edges):
+    """_branch_total's Tschirnhausen step (Abhyankar-Moh 1973): the stripped
+    germ with compact ``edges`` shifted exactly by its whole root, or None."""
+    ell, e = edges[0].lattice_length, edges[0].edge_polynomial.coeffs
+    if len(edges) > 1 or ell < 2 or not e[ell - 1]:
+        return None
+    for swap in (False, True):
+        f = {(b, a): c for (a, b), c in terms.items()} if swap else terms
+        if all(b < ell or a == 0 and b == ell for a, b in f):  # unit step, monic
+            root = quotient(-e[ell - 1], ell * e[ell])
+            if any(e[j] != e[ell] * comb(ell, j) * (-root) ** (ell - j) for j in range(ell - 1)):
+                return None  # not c*(t - root)^l
+            rows = [BiPoly({(a, 0): f[a, b] for a, b in f if b == j}) for j in range(ell + 1)]
+            shifted_w = BiPoly({(0, 1): 1, **{(a, 0): quotient(-c, ell * f[0, ell])
+                                              for (a, _), c in rows[-2].terms.items()}})
+            out = reduce(lambda acc, row: acc * shifted_w + row, reversed(rows))  # Horner
+            return {(b, a): c for (a, b), c in out.terms.items()} if swap else out.terms
+
+
 def _branch_total(terms, field, depth: int, germ: BiPoly) -> int:
     """Branches at the current point of the chart germ with support
     ``terms``, reached ``depth`` shifts below the origin germ ``germ``;
@@ -385,6 +406,16 @@ def _branch_total(terms, field, depth: int, germ: BiPoly) -> int:
     A repeated factor through the origin shows up as monomial content
     with exponent >= 2 once its strict transform is a chart axis.  One
     whose expansion never ends is caught at _CONFIRM_DEPTH instead.
+
+    Before any chart, a stripped germ f = sum a_j(z) w^j with one compact edge
+    (lq, 0)-(0, l), edge polynomial c*(t - gamma)^l, l >= 2, and constant a_l
+    at w-degree l shifts w -> w - a_(l-1)/(l*a_l) in this frame (or the same
+    in z).  (1) a_(l-1) lies on or above the edge, so a_(l-1)(0) = 0: an
+    automorphism fixing the origin, keeping br_0 and reducedness.  (2) No
+    w^(l-1) term is left, but gamma != 0 puts one on such an edge: the step
+    cannot fire again in w.  Nor in z: the result is a_l w^l plus terms of
+    weight a + qb > lq, so the stripped vertex (A', 0) has A' > l - beta >=
+    every lattice length.  (3) It adds no level: _MAX_DEPTH's argument holds.
     """
     if depth == _CONFIRM_DEPTH and not _reduced_at_origin(germ):
         raise NotIsolated("germ has a repeated factor through the origin")
@@ -393,13 +424,17 @@ def _branch_total(terms, field, depth: int, germ: BiPoly) -> int:
             f"branch recursion exceeded its stated limit of {_MAX_DEPTH} "
             "levels; germs reduced at the origin reach it only above "
             "total degree 32")
-    alpha, beta, terms = _strip_monomial_content(terms)
-    if alpha > 1 or beta > 1:
-        raise NotIsolated("germ has a repeated factor through the origin")
-    count = alpha + beta
-    if (0, 0) in terms:
-        return count
-    for edge in _compact_edges(terms):
+    count, shifted = 0, terms
+    while shifted is not None:  # at most twice, by (2)
+        alpha, beta, terms = _strip_monomial_content(shifted)
+        if alpha > 1 or beta > 1:
+            raise NotIsolated("germ has a repeated factor through the origin")
+        count += alpha + beta
+        if (0, 0) in terms:
+            return count
+        edges = _compact_edges(terms)
+        shifted = _whole_root_shift(terms, edges)
+    for edge in edges:
         for fac, mult in squarefree_decomposition(edge.edge_polynomial):
             if mult == 1:
                 # each distinct simple root is one branch, over any field

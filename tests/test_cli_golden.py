@@ -185,7 +185,9 @@ def build_cases() -> list:
     add(["threefold", "m.json", "--matrix", "missing.json"], files)
 
     for argv in (["branches", "z^2*w + w^3"], ["branches", "z*w"],
-                 ["branches", "z^2 - w^3"], ["branches", "(z^7 - 2*w^7)^2 + z^3*w^12"],
+                 ["branches", "z^2 - w^3"], ["branches", "(z+w)^2 - w^10001"],
+                 ["branches", "(w" + "".join(f" - z^{i}" for i in range(1, 10)) + ")^2 - z^19"],
+                 ["branches", "(z^7 - 2*w^7)^2 + z^3*w^12"],
                  ["branches", "--factors", "z^7 - 2*w^7, w"],
                  ["branches", "z^2*w + w^3", "--factors", "w, z^2 + w^2"],
                  ["classify", "z*w"], ["classify", "z^2*w + w^3"],

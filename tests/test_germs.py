@@ -8,7 +8,7 @@ The independent oracles used here:
 """
 
 import random
-import time
+import signal
 from fractions import Fraction
 from math import gcd
 
@@ -379,32 +379,58 @@ class TestBivariateGcd:
 
 def deep_shift(k, n):
     """(w - z - z^2 - ... - z^k)^2 - z^n: u = w - s_k(z) turns it into
-    u^2 - z^n, so it has gcd(2, n) branches, and n > 2k makes the Newton
-    recursion shift k times."""
+    u^2 - z^n, so it has gcd(2, n) branches.  For n > 2k the chart-and-shift
+    path would shift k times, one root of s_k per level; the whole-root step
+    makes the substitution u = w - s_k(z) at once, before any chart."""
     return poly("(w" + "".join(f" - z^{i}" for i in range(1, k + 1)) + f")^2 - z^{n}")
 
 
+def shift_family():
+    """(germ, branches): the deep-shift ladder; the sheared A_(N-1)
+    (z+w)^2 - w^N, which z -> z - w turns into z^2 - w^N; and
+    (z+w)^n + z^(n+1), which w -> w - z turns into w^n + z^(n+1)."""
+    family = [(deep_shift(k, n), gcd(2, n)) for k in range(1, 17) for n in (2 * k, 2 * k + 1)]
+    family += [(poly(f"(z+w)^2 - w^{n}"), gcd(2, n)) for n in (11, 1000, 10000, 300001)]
+    return family + [(poly(f"(z+w)^{n} + z^{n + 1}"), 1) for n in range(1, 15)]
+
+
 class TestDeepShift:
-    # Stated time budget for the whole family: 3 s.  The k = 6, n = 13 germ
-    # alone took 6-8 s while the depth-2 reducedness test was an exact
-    # bivariate gcd over Fraction coefficients.
+    # Stated time budget for the whole family: 3 s, enforced by SIGALRM so
+    # that a slow path fails the test instead of hanging the suite.  Without
+    # the whole-root step the chart-and-shift path takes 20 s on deep-shift
+    # at k = 9 and more than 5 s on the sheared germ at N = 10000.
     BUDGET_S = 3.0
 
     def test_branch_counts_within_budget(self, monkeypatch):
         def no_gcd(f, g):  # reduced germs are certified without it
             raise AssertionError("bipoly_gcd ran on a reduced germ")
 
+        def out_of_time(signum, frame):
+            raise AssertionError(f"the shift family overran its {self.BUDGET_S} s budget")
+
         confirmed = []
         real = germs._reduced_at_origin.__wrapped__
         monkeypatch.setattr(germs, "bipoly_gcd", no_gcd)
         monkeypatch.setattr(germs, "_reduced_at_origin",
                             lambda g: confirmed.append(g) or real(g))
-        start = time.perf_counter()
-        for k in range(1, 7):
-            for n in (2 * k, 2 * k + 1):
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.setitimer(signal.ITIMER_REAL, self.BUDGET_S)
+        try:
+            for g, branches in shift_family():
                 germs._local_branch_total.cache_clear()
-                assert branch_count(deep_shift(k, n)).branch_count == gcd(2, n), (k, n)
-        assert time.perf_counter() - start < self.BUDGET_S
-        # the germs with n >= 5 reach depth 2, where reducedness is proved
-        assert confirmed == [deep_shift(k, n) for k in range(1, 7)
-                             for n in (2 * k, 2 * k + 1) if n >= 5]
+                assert branch_count(g).branch_count == branches, g
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        # the whole-root step takes each germ whose edge has a multiple root
+        # onto its binomial form at depth 0 ((w - z)^2 - z^2 has none), so
+        # none reaches the depth where reducedness is proved
+        assert confirmed == []
+
+    def test_whole_root_step_over_a_number_field(self):
+        # (w - sqrt(2) z)^2 - z^3 over Q(sqrt 2) becomes w^2 - z^3 in one step
+        k = NumberField(UniPoly.from_int_coeffs([-2, 0, 1]))
+        r = k.generator
+        f = {(0, 2): k.one, (1, 1): -2 * r, (2, 0): r * r, (3, 0): -k.one}
+        assert germs._whole_root_shift(f, germs._compact_edges(f)) == {(0, 2): 1, (3, 0): -1}
+        assert germs._branch_total(f, k, 1, None) == 1
