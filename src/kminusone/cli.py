@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .blowup import BlowupPipeline, BlowupStep
 from .curves import CurveSpec, DualGraph, GeneralCurvePiece, betti1, \
@@ -456,11 +458,47 @@ def render_ade_table(k_values) -> Report:
         for r in rows])
 
 
+def _json_chunks(o, out: list, nl: str) -> None:
+    """Append o to out as json.dumps(o, indent=2, sort_keys=True) writes it,
+    nl being a newline and o's indent; strings go through json's C escaper."""
+    t = type(o)
+    if t is str:
+        out.append(_quote(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif not o and (t is dict or t is list or t is tuple):
+        out.append("{}" if t is dict else "[]")
+    elif t is dict:
+        inner = nl + "  "
+        for i, k in enumerate(sorted(o)):
+            out.append(("," if i else "{") + inner + _quote(k) + ": ")
+            _json_chunks(o[k], out, inner)
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        inner = nl + "  "
+        sep = "," + inner
+        if all(type(x) is str for x in o):  # 64 at a time: a long list is not copied whole
+            for i in range(0, len(o), 64):
+                out.append((sep if i else "[" + inner) + sep.join(map(_quote, o[i:i + 64])))
+        else:
+            for i, x in enumerate(o):
+                out.append(sep if i else "[" + inner)
+                _json_chunks(x, out, inner)
+        out.append(nl + "]")
+    elif t is bool or o is None:
+        out.append("true" if o is True else "false" if o is False else "null")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def emit_report(report: Report, as_json: bool = False) -> str:
     """Deterministic text or JSON rendering of a Report from a render_*
-    helper.  JSON output formats no text."""
+    helper.  JSON output formats no text, and is byte for byte what
+    json.dumps(report.data, indent=2, sort_keys=True) writes."""
     if as_json:
-        return json.dumps(report.data, indent=2, sort_keys=True)
+        out = []
+        _json_chunks(report.data, out, "\n")
+        return "".join(out)
     return "\n".join(report.lines(report.data))
 
 
@@ -632,4 +670,10 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+        sys.stdout.flush()  # a closed stdout fails here, inside the try
+    except BrokenPipeError:  # Python's SIGPIPE recipe: the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

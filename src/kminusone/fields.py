@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import ExtensionUnsupported, InputError
 from .exact import UniPoly, power, quotient, uni_ext_gcd
@@ -168,17 +168,17 @@ class NFElem:
 # factorization over Q
 # ---------------------------------------------------------------------------
 
+_KRONECKER_BUDGET = 2_000_000
+_BUDGET_EXCEEDED = ("trial factorization budget exceeded; "
+                    "re-run with --factors supplying the irreducible factors")
+
+
 def _divisors(n: int):
     n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    if n > _KRONECKER_BUDGET ** 2:  # trial division to 2 * 10**6 at most
+        raise ExtensionUnsupported(_BUDGET_EXCEEDED)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 def to_integer_poly(p: UniPoly):
@@ -245,9 +245,6 @@ def _interpolate(xs, ys):
     return result
 
 
-_KRONECKER_BUDGET = 2_000_000
-
-
 def _kronecker_split(ints):
     """Find a nontrivial factor of a primitive integer polynomial with no
     rational roots, degree 4..6, by Kronecker's interpolation method.
@@ -268,9 +265,7 @@ def _kronecker_split(ints):
             div_lists.append(signed)
             total *= len(signed)
             if total > _KRONECKER_BUDGET:
-                raise ExtensionUnsupported(
-                    "trial factorization budget exceeded; "
-                    "re-run with --factors supplying the irreducible factors")
+                raise ExtensionUnsupported(_BUDGET_EXCEEDED)
         for combo in product(*div_lists):
             q = _interpolate(xs, combo)
             if q.degree < 1:

@@ -1,18 +1,30 @@
 """Command-line interface: subcommands, exit codes, document validation,
 golden output stability."""
 
+import gc
 import hashlib
 import io
 import json
+import os
 import random
+import signal
+import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kminusone.cli import MAX_GRAPH_SIZE, parse_spec_document, run_cli
-from kminusone.curves import CurveSpec
+from kminusone.cli import MAX_GRAPH_SIZE, Report, emit_report, parse_spec_document, \
+    render_quiver_report, run_cli
+from kminusone.curves import CurveSpec, DualGraph
 from kminusone.errors import SpecValidationError
 from kminusone.exact import smith_normal_form
+from kminusone.quiver import algebra_basis, burban_quiver
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -60,6 +72,29 @@ class TestGermCommands:
         code, _, err = run(capsys, "branches", "(z^7 - 2*w^7)^2 + z^3*w^12")
         assert code == 2
         assert "--factors" in err
+
+    # clustered products with a 31-digit coefficient: trial division of it
+    # would count to 10^15, so the germ is refused, under a 2 s SIGALRM
+    # budget that fails the test instead of hanging the suite, and
+    # --factors answers
+    @pytest.mark.parametrize("a, b, c, branches", [(3, 3, 10**30, 6), (4, 4, 10**30 + 2, 8)])
+    def test_huge_coefficient_refused_not_trial_divided(self, capsys, a, b, c, branches):
+        def out_of_time(signum, frame):
+            raise AssertionError("trial division ran past its 2 s budget")
+
+        f, g = (f"z^{a} - {c}*w^{b} + {k}*w^{b + 1}" for k in (1, 2))
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            code, out, err = run(capsys, "branches", f"({f})*({g})")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, out) == (2, "")
+        assert err == ("unsupported: trial factorization budget exceeded; "
+                       "re-run with --factors supplying the irreducible factors\n")
+        code, out, _ = run(capsys, "branches", "--factors", f"{f},{g}")
+        assert code == 0 and f"branches = {branches}" in out
 
     def test_factors_fallback(self, capsys):
         code, out, _ = run(capsys, "branches",
@@ -358,15 +393,89 @@ class TestSnf:
             assert err.startswith("error: ") and f"more than {limit} digits" in err
 
 
+# JSON-like values: any Unicode text (quotes, backslashes, control
+# characters, lone surrogates), ints past 2^64, bools, None, lists, tuples
+_json_text = st.text(st.characters(exclude_categories=())
+                     | st.sampled_from('\u00b7"\\/\n\x00\x1f\x7f\ud800\udfff\U0001f600'))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**80, 2**80) | _json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=20)
+
+
+def _no_text(data):
+    raise AssertionError("text formatted for a JSON report")
+
+
 class TestEmitReport:
     def test_json_formats_no_text(self):
-        from kminusone.cli import Report, emit_report
-
-        def no_text(data):
-            raise AssertionError("text formatted for a JSON report")
-
-        assert emit_report(Report({"b": 1, "a": [2]}, no_text), as_json=True) \
+        assert emit_report(Report({"b": 1, "a": [2]}, _no_text), as_json=True) \
             == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}'
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_json_values)
+    def test_json_is_json_dumps_byte_for_byte(self, data):
+        assert emit_report(Report(data, _no_text), as_json=True) \
+            == json.dumps(data, indent=2, sort_keys=True)
+
+    def test_golden_json_is_json_dumps_form(self):
+        # an oracle that does not run the writer: the recorded --json stdout
+        cases = json.loads((ROOT / "tests/data/cli_golden.json").read_text(encoding="utf-8"))
+        checked = 0
+        for case in cases:
+            if "--json" in case["argv"] and case["exit"] == 0 \
+                    and "--help" not in case["argv"]:
+                out = case["stdout"]
+                assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+                checked += 1
+        assert checked >= 80
+
+    def test_unwritable_type_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            emit_report(Report({"a": [1.5]}, _no_text), as_json=True)
+
+    def test_json_leaves_no_cyclic_garbage(self):
+        report = Report({"a": [{"b": True, "c": None}, [], {}, (1, -2**70)],
+                         "d": ["x", "\u00b7"]}, _no_text)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                emit_report(report, as_json=True)
+            assert gc.collect() == 0  # json.dumps(indent=2) leaves 33 objects a call
+        finally:
+            gc.enable()
+
+    def test_json_peak_memory_no_higher_than_json_dumps(self):
+        q = burban_quiver(DualGraph(200, tuple(map(tuple, _large_tree_edges("path")))))
+        data = render_quiver_report(q, algebra_basis(q)).data  # 26.8 MB of JSON
+        peaks = []
+        for emit in (lambda: json.dumps(data, indent=2, sort_keys=True),
+                     lambda: emit_report(Report(data, _no_text), as_json=True)):
+            tracemalloc.start()
+            try:
+                text = emit()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(text) > 20_000_000
+            del text
+        assert peaks[1] <= peaks[0]
+
+    def test_closed_stdout_exits_one_without_traceback(self, tmp_path):
+        doc = write_doc(tmp_path, "q.json", {
+            "kind": "quiver", "graph": {"vertices": 120, "edges": _large_tree_edges("path")[:119]}})
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from kminusone.cli import main; main()", "--json", "quiver", doc],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()  # the report is megabytes, far past any pipe buffer
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err and b"BrokenPipe" not in err
 
 
 def _large_tree_edges(shape):

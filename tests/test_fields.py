@@ -1,5 +1,6 @@
 """Number fields and exact factorization over Q."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from kminusone.errors import ExtensionUnsupported
 from kminusone.exact import UniPoly
 from kminusone.fields import (
     NumberField,
+    _divisors,
     irreducible_factors,
     rational_roots,
     to_integer_poly,
@@ -87,6 +89,26 @@ class TestIrreducibleFactors:
     def test_degree_seven_unsupported(self):
         with pytest.raises(ExtensionUnsupported):
             irreducible_factors(U(-2, 0, 0, 0, 0, 0, 0, 1))  # t^7 - 2
+
+    def test_trial_division_refused_past_budget_squared(self):
+        # a constant of 10^30 (rational root test) or a value p(1) above
+        # 4*10^12 (Kronecker) is refused at once; trial division of 10^30
+        # would count to 10^15.  SIGALRM fails the test instead of hanging.
+        def out_of_time(signum, frame):
+            raise AssertionError("trial division ran past its 2 s budget")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            for p in (U(10**30, 0, 0, 1), U(1, 0, 4 * 10**12, 0, 1)):
+                with pytest.raises(ExtensionUnsupported, match="--factors"):
+                    irreducible_factors(p)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(_divisors(4 * 10**12)) == 15 * 13  # 2^14 * 5^12, the largest allowed
+        with pytest.raises(ExtensionUnsupported):
+            _divisors(4 * 10**12 + 1)
 
     def test_sextic_with_cubic_factors(self):
         p = U(-2, 0, 0, 1) * U(-3, 0, 0, 1)  # (t^3-2)(t^3-3)
