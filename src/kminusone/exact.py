@@ -13,16 +13,19 @@ Computational Algebraic Number Theory, Alg. 2.4.14), where R is D or, for a
 large square nonsingular matrix, the certified-exponent modulus (Abbott,
 Bronstein and Mulders 1999; Eberly, Giesbrecht and Villard 2000).  Only
 ``smith_normal_form`` builds U and V: for the ``snf`` command, and for
-``FinAbGroup.direct_sum`` of two torsion chains.  A rational polynomial
-whose gcd with its derivative is 1 modulo a fixed prime is squarefree
-without Yun's algorithm: the modular squarefree certificate (von zur Gathen
-and Gerhard, Modern Computer Algebra, on squarefree factorisation and on
-discriminants modulo a prime).
+``FinAbGroup.direct_sum`` of two torsion chains.  Coprimality over Q has one
+certificate, ``coprime_mod_prime``: Euclid modulo the prime 2^61 - 1, with
+Gauss's lemma (von zur Gathen and Gerhard, Modern Computer Algebra, chs. 6
+and 14).  It proves a rational polynomial coprime to its derivative, so
+squarefree without Yun's algorithm, and, at small integers z = a, two
+bivariate polynomials free of a common factor of positive w-degree before
+any exact bivariate gcd runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
@@ -241,15 +244,28 @@ def _one_like(a: UniPoly, b: UniPoly) -> UniPoly:
 _PRIME = 2 ** 61 - 1
 
 
-def _simple_roots_mod_prime(p: UniPoly) -> bool:
-    """The certificate of squarefree_decomposition, for p monic of degree >= 1."""
-    if not all(isinstance(c, (int, Fraction)) for c in p.coeffs):
-        return False
+def _mod_prime(p: UniPoly) -> list:
+    """D * p modulo _PRIME, D the lcm of the denominators, without leading zeros."""
     den = lcm(*(c.denominator for c in p.coeffs))
-    if not den % _PRIME:
+    out = [c.numerator * (den // c.denominator) % _PRIME for c in p.coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def coprime_mod_prime(f: UniPoly, g: UniPoly) -> bool:
+    """True only if gcd(f, g) = 1 over Q, for rational f != 0 and g, proved
+    modulo P = 2^61 - 1.  By Gauss's lemma a common factor of positive degree
+    is, up to a scalar, a primitive integer h dividing D * f and E * g, D and
+    E the lcms of the denominators; if P does not divide lc(D * f), h mod P
+    keeps its degree and divides both images, so their gcd over GF(P) being 1
+    proves it.  False, for an exact gcd to decide, when P divides lc(D * f),
+    the images share a factor, or a coefficient is not rational."""
+    if not all(isinstance(c, (int, Fraction)) for c in f.coeffs + g.coeffs):
         return False
-    a = [c.numerator * (den // c.denominator) % _PRIME for c in p.coeffs]
-    b = [i * c % _PRIME for i, c in enumerate(a)][1:]  # leading n * den, not 0
+    a, b = _mod_prime(f), _mod_prime(g)
+    if len(a) < len(f.coeffs):
+        return False
     while b:  # Euclid over GF(_PRIME); a and b carry no leading zeros
         inv = pow(b[-1], -1, _PRIME)
         while len(a) >= len(b):
@@ -263,26 +279,37 @@ def _simple_roots_mod_prime(p: UniPoly) -> bool:
     return len(a) == 1
 
 
+def coprime_certified(f: BiPoly, g: BiPoly) -> bool:
+    """For f != 0, True only if f and g have no common factor of positive
+    w-degree, proved by an integer a in 1, -1, 2, -2, 0 with lc_w(f)(a) != 0
+    (f(a, w) of full degree) and coprime_mod_prime(f(a, w), g(a, w)): such a
+    factor h has lc_w(h) | lc_w(f) in Q[z], so h(a, w) keeps its positive
+    degree and divides both.  False, for the exact gcd to decide, when no
+    point certifies; common factors in Q[z] are not ruled out."""
+    degree = max(b for _, b in f.terms)
+    for a in (1, -1, 2, -2, 0):
+        fa = f.at_z(a)
+        if fa.degree == degree and coprime_mod_prime(fa, g.at_z(a)):
+            return True
+    return False
+
+
 def squarefree_decomposition(p: UniPoly):
     """Yun's algorithm: returns [(a_1, 1), (a_2, 2), ...] with
     p = lc * prod a_k^k, the a_k monic, squarefree and pairwise coprime.
     Factors with a_k constant are omitted.
 
-    A rational p is first certified modulo the prime P = 2^61 - 1.  Let D
-    be the lcm of the denominators of p.monic(), and f = D * p.monic() of
-    degree n, so lc(f) = D.  If P does not divide D, f and f' keep degrees
-    n and n - 1 mod P, so Res(f, f') mod P is their resultant over GF(P),
-    nonzero when their gcd there is 1.  Then Disc(f) = +-Res(f, f')/D != 0
-    and p is squarefree over Q: the result is [(p.monic(), 1)].  If P
-    divides D or Disc(f), or for number-field coefficients, Yun decides."""
+    A rational p coprime to p' by coprime_mod_prime is squarefree over Q:
+    the result is [(p.monic(), 1)].  Otherwise, and for number-field
+    coefficients, Yun decides."""
     if p.is_zero():
         raise InputError("squarefree decomposition of the zero polynomial")
     p = p.monic()
     if p.degree <= 0:
         return []
-    if _simple_roots_mod_prime(p):
-        return [(p, 1)]
     dp = p.derivative()
+    if coprime_mod_prime(p, dp):
+        return [(p, 1)]
     g = uni_gcd(p, dp)
     if g.degree <= 0:
         return [(p, 1)]
@@ -323,6 +350,13 @@ class BiPoly:
         self.terms = t
 
     @classmethod
+    def _of(cls, terms: dict) -> "BiPoly":
+        """A BiPoly on terms as given: int exponent pairs, no zero coefficient."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> "BiPoly":
         return cls()
 
@@ -358,9 +392,7 @@ class BiPoly:
         return self._combine(other, add)
 
     def __neg__(self) -> "BiPoly":
-        out = BiPoly()
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return BiPoly._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self._combine(other, sub)
@@ -373,18 +405,14 @@ class BiPoly:
                 t[k] = s
             elif k in t:
                 del t[k]
-        out = BiPoly()
-        out.terms = t
-        return out
+        return BiPoly._of(t)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         # one term shifts the other side: no products collide and none is zero
         if len(self.terms) == 1 or len(other.terms) == 1:
             one, many = (self, other) if len(self.terms) == 1 else (other, self)
             ((a1, b1), c1), = one.terms.items()
-            out = BiPoly()
-            out.terms = {(a1 + a, b1 + b): c1 * c for (a, b), c in many.terms.items()}
-            return out
+            return BiPoly._of({(a1 + a, b1 + b): c1 * c for (a, b), c in many.terms.items()})
         t = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
@@ -394,16 +422,10 @@ class BiPoly:
                     t[k] = s
                 elif k in t:
                     del t[k]
-        out = BiPoly()
-        out.terms = t
-        return out
+        return BiPoly._of(t)
 
     def scale(self, c) -> "BiPoly":
-        if not c:
-            return BiPoly()
-        out = BiPoly()
-        out.terms = {k: v * c for k, v in self.terms.items()}
-        return out
+        return BiPoly._of({k: v * c for k, v in self.terms.items()} if c else {})
 
     def __pow__(self, n: int) -> "BiPoly":
         return power(self, n, BiPoly.constant(1))
@@ -428,17 +450,86 @@ class BiPoly:
         return max(a for a, _ in self.terms)
 
     def derivative_z(self) -> "BiPoly":
-        out = BiPoly()
-        out.terms = {(a - 1, b): c * a for (a, b), c in self.terms.items() if a > 0}
-        return out
+        return BiPoly._of({(a - 1, b): c * a for (a, b), c in self.terms.items() if a > 0})
 
     def derivative_w(self) -> "BiPoly":
-        out = BiPoly()
-        out.terms = {(a, b - 1): c * b for (a, b), c in self.terms.items() if b > 0}
-        return out
+        return BiPoly._of({(a, b - 1): c * b for (a, b), c in self.terms.items() if b > 0})
+
+    def columns(self) -> list:
+        """The coefficients in Q[w] of the powers of z, from z^0 to z^(deg_z)."""
+        cols = [{} for _ in range(self.degree_z() + 1)]
+        for (a, b), c in self.terms.items():
+            cols[a][b] = c
+        return [UniPoly([col.get(b, 0) for b in range(max(col, default=-1) + 1)])
+                for col in cols]
+
+    def at_z(self, a) -> UniPoly:
+        """g(a, w) as a polynomial in w."""
+        coeffs = [0] * (max((b for _, b in self.terms), default=-1) + 1)
+        for (i, b), c in self.terms.items():
+            coeffs[b] += c * a ** i
+        return UniPoly(coeffs)
 
     def __repr__(self):
         return f"BiPoly({self.terms!r})"
+
+
+# ---------------------------------------------------------------------------
+# bivariate gcd over Q (primitive PRS)
+# ---------------------------------------------------------------------------
+
+def _zp_content(zp) -> UniPoly:
+    return reduce(uni_gcd, zp, UniPoly())
+
+
+def _zp_primitive(zp):
+    c = _zp_content(zp)
+    if c.degree <= 0:
+        # contents are monic, so a constant content is 1
+        return list(zp)
+    return [u // c for u in zp]
+
+
+def _zp_prem(a, b):
+    """Pseudo-remainder of a by b in (Q[w])[z]; b nonzero."""
+    a = list(a)
+    db = len(b) - 1
+    lcb = b[-1]
+    while a and len(a) - 1 >= db:
+        lca = a[-1]
+        d = len(a) - 1 - db
+        a = [c * lcb for c in a]
+        for i, bc in enumerate(b):
+            a[d + i] = a[d + i] - bc * lca
+        while a and a[-1].is_zero():
+            a.pop()
+    return a
+
+
+def _swapped(g: BiPoly) -> BiPoly:
+    return BiPoly._of({(b, a): c for (a, b), c in g.terms.items()})
+
+
+def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
+    """gcd in Q[z, w], normalized so the leading w-coefficient of the
+    leading z-coefficient is 1.  The primitive PRS eliminates the variable
+    in which f has the lower degree: in (Q[w])[z], or with z and w swapped,
+    where Fraction coefficients swell far less on high z-degree."""
+    swap = f.degree_z() > max((b for _, b in f.terms), default=-1)
+    if swap:
+        f, g = _swapped(f), _swapped(g)
+    zf, zg = f.columns(), g.columns()
+    content = uni_gcd(_zp_content(zf), _zp_content(zg))
+    a, b = _zp_primitive(zf), _zp_primitive(zg)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _zp_prem(a, b)
+        a, b = b, _zp_primitive(r) if r else []
+    h = BiPoly._of({(i, j): c for i, u in enumerate(_zp_primitive(a))
+                    for j, c in enumerate((u * content).coeffs) if c})
+    h = _swapped(h) if swap else h
+    return h.scale(Fraction(1) / h.columns()[-1].leading) if h else h
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,8 @@ class NFElem:
 # ---------------------------------------------------------------------------
 
 _KRONECKER_BUDGET = 2_000_000
-_BUDGET_EXCEEDED = ("trial factorization budget exceeded; "
-                    "re-run with --factors supplying the irreducible factors")
+FACTORS_HINT = "re-run with --factors supplying the irreducible factors"
+_BUDGET_EXCEEDED = f"trial factorization budget exceeded; {FACTORS_HINT}"
 
 
 def _divisors(n: int):
@@ -304,8 +304,7 @@ def irreducible_factors(p: UniPoly):
             continue
         if h.degree > 6:
             raise ExtensionUnsupported(
-                f"cannot certify irreducibility in degree {h.degree}; "
-                "re-run with --factors supplying the irreducible factors")
+                f"cannot certify irreducibility in degree {h.degree}; {FACTORS_HINT}")
         q = _kronecker_split(to_integer_poly(h))
         if q is None:
             out.append((h, h.degree))

@@ -17,20 +17,21 @@ repeated through the origin surfaces as monomial content with exponent
 at least 2 once its strict transform is a chart axis (Casas-Alvero,
 Singularities of Plane Curves, ch. 1-3).  Germs the recursion follows two
 shifts deep are proved reduced at the origin first, which catches repeated
-factors whose expansion never ends; a univariate gcd at a small integer z
-certifies that, and the coprimality of factored input, before any exact
+factors whose expansion never ends.  That, and the coprimality of factored
+input, is certified by exact.coprime_certified, the one modular coprimality
+certificate (Euclid modulo 2^61 - 1) at small integers z, before the exact
 bivariate gcd runs.  Integral coefficients stay ints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd
 
 from .errors import ExtensionUnsupported, InputError, KMinusOneError, NotIsolated
-from .exact import BiPoly, UniPoly, quotient, squarefree_decomposition, uni_gcd
-from .fields import NFElem, NumberField, irreducible_factors
+from .exact import (BiPoly, UniPoly, bipoly_gcd, coprime_certified, quotient,
+                    squarefree_decomposition)
+from .fields import FACTORS_HINT, NFElem, NumberField, irreducible_factors
 from .records import record
 
 # Stated resource limit: the Newton recursion goes at most this many
@@ -118,124 +119,13 @@ def _reduced_at_origin(g: BiPoly) -> bool:
 
 def _share_factor_at_origin(f: BiPoly, *others: BiPoly) -> bool:
     """Whether f and the others share a factor through the origin: in Q[z]
-    that is z; one of positive w-degree is ruled out by _coprime_certified
+    that is z; one of positive w-degree is ruled out by coprime_certified
     on f and the last of the others, else decided by their exact gcd."""
     if all(a for h in (f, *others) for a, _ in h.terms):
         return True  # z divides them all
-    if _coprime_certified(f, others[-1]):
+    if coprime_certified(f, others[-1]):
         return False
     return reduce(bipoly_gcd, others, f).vanishes_at_origin()
-
-
-def _at_z(g: BiPoly, a: int) -> UniPoly:
-    """g(a, w) as a polynomial in w."""
-    coeffs = [0] * (max((b for _, b in g.terms), default=-1) + 1)
-    for (i, b), c in g.terms.items():
-        coeffs[b] += c * a ** i
-    return UniPoly(coeffs)
-
-
-def _coprime_certified(f: BiPoly, g: BiPoly) -> bool:
-    """For f != 0, True only if f and g have no common factor of positive
-    w-degree, proved by an integer a in 1, -1, 2, -2, 0 with lc_w(f)(a) != 0
-    (f(a, w) of full degree) and gcd(f(a, w), g(a, w)) = 1 over Q: such a
-    factor h has lc_w(h) | lc_w(f) in Q[z], so h(a, w) keeps its positive
-    degree and divides both.  False, for the exact gcd to decide, when no
-    point certifies; common factors in Q[z] are not ruled out."""
-    degree = max(b for _, b in f.terms)
-    for a in (1, -1, 2, -2, 0):
-        fa = _at_z(f, a)
-        if fa.degree == degree and uni_gcd(fa, _at_z(g, a)).degree == 0:
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# bivariate gcd over Q (primitive PRS in (Q[w])[z])
-# ---------------------------------------------------------------------------
-
-def _to_zpoly(g: BiPoly):
-    if g.is_zero():
-        return []
-    dz = g.degree_z()
-    cols = [{} for _ in range(dz + 1)]
-    for (a, b), c in g.terms.items():
-        cols[a][b] = c
-    out = []
-    for col in cols:
-        if col:
-            n = max(col)
-            out.append(UniPoly(tuple(col.get(i, 0) for i in range(n + 1))))
-        else:
-            out.append(UniPoly())
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def _from_zpoly(zp) -> BiPoly:
-    terms = {}
-    for a, u in enumerate(zp):
-        for b, c in enumerate(u.coeffs):
-            if c:
-                terms[(a, b)] = c
-    return BiPoly(terms)
-
-
-def _zp_content(zp) -> UniPoly:
-    return reduce(uni_gcd, zp, UniPoly())
-
-
-def _zp_primitive(zp):
-    c = _zp_content(zp)
-    if c.degree <= 0:
-        # contents are monic, so a constant content is 1
-        return list(zp)
-    return [u // c for u in zp]
-
-
-def _zp_prem(a, b):
-    """Pseudo-remainder of a by b in (Q[w])[z]; b nonzero."""
-    a = list(a)
-    db = len(b) - 1
-    lcb = b[-1]
-    while a and len(a) - 1 >= db:
-        lca = a[-1]
-        d = len(a) - 1 - db
-        a = [c * lcb for c in a]
-        for i, bc in enumerate(b):
-            a[d + i] = a[d + i] - bc * lca
-        while a and a[-1].is_zero():
-            a.pop()
-    return a
-
-
-def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
-    """gcd in Q[z, w], normalized so the leading w-coefficient of the
-    leading z-coefficient is 1."""
-    if f.is_zero():
-        return _normalize_biv(g)
-    if g.is_zero():
-        return _normalize_biv(f)
-    zf, zg = _to_zpoly(f), _to_zpoly(g)
-    content = uni_gcd(_zp_content(zf), _zp_content(zg))
-    a, b = _zp_primitive(zf), _zp_primitive(zg)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _zp_prem(a, b)
-        a, b = b, _zp_primitive(r) if r else []
-    a = _zp_primitive(a)
-    result = [u * content for u in a]
-    return _normalize_biv(_from_zpoly(result))
-
-
-def _normalize_biv(g: BiPoly) -> BiPoly:
-    if g.is_zero():
-        return g
-    zp = _to_zpoly(g)
-    lead = zp[-1].leading
-    return g.scale(Fraction(1) / lead)
 
 
 # ---------------------------------------------------------------------------
@@ -251,39 +141,21 @@ def _strip_monomial_content(terms):
     return alpha, beta, {(a - alpha, b - beta): c for (a, b), c in terms.items()}
 
 
-def _hull_vertices(terms):
-    """Vertices of the lower-left boundary of the Newton polygon, ordered
-    by decreasing z-exponent.  Assumes min a = min b = 0 over the support."""
-    pts = list(terms)
-    bmin = min(b for _, b in pts)
-    start = (min(a for a, b in pts if b == bmin), bmin)
-    amin = min(a for a, _ in pts)
-    end = (amin, min(b for a, b in pts if a == amin))
-    chain = [start]
-    cur = start
-    while cur != end:
-        best = None
-        for pnt in pts:
-            if pnt[0] >= cur[0]:
-                continue
-            if best is None:
-                best = pnt
-                continue
-            lhs = (pnt[1] - cur[1]) * (cur[0] - best[0])
-            rhs = (best[1] - cur[1]) * (cur[0] - pnt[0])
-            if lhs < rhs or (lhs == rhs and pnt[0] < best[0]):
-                best = pnt
-        chain.append(best)
-        cur = best
-    return chain
-
-
 def _compact_edges(terms):
-    """NewtonEdge list from a stripped support (min a = min b = 0)."""
-    chain = _hull_vertices(terms)
+    """NewtonEdge list from a stripped support (min a = min b = 0), ordered
+    by decreasing z-exponent: the lower convex hull, by Andrew's monotone
+    chain, of the support from a = 0 up to its first point (A, 0)."""
+    last = min(a for a, b in terms if not b)
+    hull = []
+    for pnt in sorted(p for p in terms if p[0] < last or p == (last, 0)):
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (pnt[1] - hull[-2][1])
+                                 <= (hull[-1][1] - hull[-2][1]) * (pnt[0] - hull[-2][0])):
+            hull.pop()  # not a strict left turn: hull[-1] is no vertex
+        hull.append(pnt)
+    hull.reverse()
     zero = next(iter(terms.values())) * 0
     edges = []
-    for v, u in zip(chain, chain[1:]):
+    for v, u in zip(hull, hull[1:]):
         da, db = v[0] - u[0], u[1] - v[1]
         ell = gcd(da, db)
         q, p = da // ell, db // ell
@@ -374,8 +246,7 @@ def _roots_of_multiple_factor(fac: UniPoly, field):
             out.append((ext.generator, d, ext))
         else:
             raise ExtensionUnsupported(
-                "a multiple root needs a second field extension; "
-                "re-run with --factors supplying the irreducible factors")
+                f"a multiple root needs a second field extension; {FACTORS_HINT}")
     return out
 
 

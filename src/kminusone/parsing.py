@@ -182,9 +182,7 @@ def _times(x: tuple, y: tuple, n: int = 1) -> tuple:
 def _poly(value) -> BiPoly:
     if type(value) is not tuple:
         return value
-    poly = BiPoly()
-    poly.terms = dict(_items(value))
-    return poly
+    return BiPoly._of(dict(_items(value)))
 
 
 def _items(value):

@@ -85,15 +85,11 @@ def burban_quiver(tree: DualGraph) -> QuiverWithRelations:
 
 
 def algebra_basis(quiver: QuiverWithRelations) -> AlgebraBasis:
-    """All nonzero paths of length below the vertex count, in the order
-    (length, source, arrow indices).
+    """All nonzero paths, in the order (length, source, arrow indices).
 
-    A valid path as long as the vertex count raises InputError instead of
-    returning a truncated basis.  That refusal is exact for doubled forests,
-    where a non-backtracking walk that long cannot exist.  Other quivers may
-    be refused although their basis is finite: arrows a: 1 -> 2 and
-    b: 2 -> 1 with only a·b = 0 have the basis e1, e2, a, b, b·a, and are
-    refused because b·a has length 2.
+    The basis is finite exactly when the graph on arrows with an edge i -> j
+    whenever j may follow i has no cycle; otherwise InputError is raised
+    before any path is listed.
     """
     arrows, forbidden = quiver.arrows, set(quiver.relations)
     leaving = [[] for _ in range(quiver.vertices)]
@@ -103,20 +99,27 @@ def algebra_basis(quiver: QuiverWithRelations) -> AlgebraBasis:
     # on its last arrow: (index, target, name) of each arrow allowed after it
     follow = [[(j, arrows[j].target, arrows[j].name) for j in leaving[a.target]
                if (i, j) not in forbidden] for i, a in enumerate(arrows)]
+    indegree = [0] * len(arrows)
+    for j, _, _ in (x for nxt in follow for x in nxt):
+        indegree[j] += 1
+    order = [i for i, d in enumerate(indegree) if not d]
+    for i in order:  # Kahn's algorithm: the arrows on no cycle nor after one
+        for j, _, _ in follow[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < len(arrows):
+        raise InputError("nonzero paths of every length exist; "
+                         "the algebra is infinite-dimensional")
     paths = [(v, v, ()) for v in range(quiver.vertices)]
     labels = [f"e{v + 1}" for v in range(quiver.vertices)]
     # each level lists (source, target, arrows, label, follow) in basis order,
     # so extending its paths in turn by increasing arrow index keeps that order
     level = [(v, arrows[i].target, (i,), arrows[i].name, follow[i])
              for v in range(quiver.vertices) for i in leaving[v]]
-    length = 1
     while level:
-        if length >= quiver.vertices:
-            raise InputError(
-                f"a nonzero path of length {quiver.vertices} exists; non-tree input")
         paths += [(s, t, p) for s, t, p, _, _ in level]
         labels += [label for _, _, _, label, _ in level]
         level = [(s, u, p + (j,), f"{label}·{name}", follow[j])
                  for s, _, p, label, nxt in level for j, u, name in nxt]
-        length += 1
     return AlgebraBasis(tuple(paths), tuple(labels))

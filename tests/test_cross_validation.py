@@ -19,7 +19,7 @@ sympy = pytest.importorskip("sympy")
 from sympy import QQ, ZZ, Matrix, Poly, symbols  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 
-from kminusone import germs  # noqa: E402
+from kminusone import exact, germs  # noqa: E402
 from kminusone.errors import InputError, KMinusOneError, NotIsolated  # noqa: E402
 from kminusone.exact import BiPoly, FinAbGroup, IntMatrix, UniPoly, cokernel, \
     invariant_factors, smith_normal_form, squarefree_decomposition  # noqa: E402
@@ -114,20 +114,26 @@ def test_nonsingular_torsion_heavy_matrices_match_sympy():
 
 
 def test_bivariate_gcd_matches_sympy():
+    # the PRS runs in z or, when g1 has the higher degree in z, in w; either
+    # way the gcd is normalized in the orientation of the input
     rng = random.Random(4242)
-    checked = 0
+    checked = swapped = 0
     while checked < 60:
         mult = rand_bipoly(rng, rng.randint(1, 3), 2)
         g1 = rand_bipoly(rng, rng.randint(1, 4), 3) * mult
         g2 = rand_bipoly(rng, rng.randint(1, 4), 3) * mult
         if g1.is_zero() or g2.is_zero():
             continue
-        ours = Poly(to_sympy(bipoly_gcd(g1, g2)), Z, W)
+        d = bipoly_gcd(g1, g2)
+        assert d.columns()[-1].leading == 1
+        swapped += g1.degree_z() > max(b for _, b in g1.terms)
+        ours = Poly(to_sympy(d), Z, W)
         theirs = Poly(sympy.gcd(to_sympy(g1), to_sympy(g2), Z, W), Z, W)
         assert ours.total_degree() == theirs.total_degree()
         diff = ours.as_expr() * theirs.LC() - theirs.as_expr() * ours.LC()
         assert sympy.simplify(diff) == 0
         checked += 1
+    assert 10 < swapped < 50
 
 
 def test_squarefree_matches_sympy_factorization():
@@ -218,6 +224,34 @@ def test_squarefree_decomposition_matches_sympy_sqf_list():
         assert ours == theirs, p
         repeated += max(ours) > 1
     assert 100 < repeated < 250  # both answers are well represented
+
+
+def test_modular_coprime_certificate_matches_sympy_gcd():
+    # never True on a common factor; also pairs with lc(D*f) = 0 mod P (never
+    # certified) and with g = 0 mod P (certified only for a constant f)
+    def uni(p):
+        return Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+                    T, domain=QQ)
+
+    rng, P, certified, refused = random.Random(2061), exact._PRIME, [0] * 4, 0
+    for i in range(400):
+        kind, f, g = i % 4, rand_uni(rng), rand_uni(rng)
+        if kind == 0:
+            h = rand_uni(rng)
+            f, g = f * h, g * h
+        elif kind == 1:
+            f = UniPoly(f.coeffs[:-1] + (f.coeffs[-1] * P,)) if f else f
+        elif kind == 2:
+            g = g.scale(Fraction(P, rng.choice([1, 2, 7])))
+        if f.is_zero():
+            continue
+        cert = exact.coprime_mod_prime(f, g)
+        coprime = uni(f).gcd(uni(g)).degree() == 0
+        assert coprime or not cert, (f, g)
+        assert cert == (coprime and kind != 1 and (kind != 2 or f.degree == 0)), (f, g)
+        certified[kind] += cert
+        refused += coprime and not cert
+    assert certified[3] > 90 and refused > 150
 
 
 def rand_germ_text(rng, depth):
@@ -343,14 +377,14 @@ def test_coprime_certificate_matches_sympy_gcd():
         if f.is_zero() or g.is_zero() or not any(b for _, b in f.terms):
             continue
         common = sympy.gcd(to_sympy(f), to_sympy(g))
-        cert = germs._coprime_certified(f, g)
+        cert = exact.coprime_certified(f, g)
         if cert:  # never True for a common factor of positive w-degree
             assert Poly(common, Z, W).degree(W) == 0, (f.terms, g.terms)
         certified[kind] += cert
         # lc_w(f) or g(a, w) vanishes at the first point, so a later one decided
-        first = germs._at_z(f, 1)
+        first = f.at_z(1)
         late += cert and (first.degree < max(b for _, b in f.terms)
-                          or germs._at_z(g, 1).is_zero())
+                          or g.at_z(1).is_zero())
         through_origin = common.subs({Z: 0, W: 0}) == 0
         assert germs._share_factor_at_origin(f, g) == through_origin, (f.terms, g.terms)
         ours = outcome(branch_count_factored, [f, g])

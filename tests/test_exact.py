@@ -89,13 +89,13 @@ class TestSquarefreePart:
 class TestSquarefreeCertificate:
     def test_squarefree_over_q_but_not_modulo_the_prime(self):
         f = U(0, -exact._PRIME, 1)  # t * (t - P)
-        assert not exact._simple_roots_mod_prime(f)
+        assert not exact.coprime_mod_prime(f, f.derivative())
         assert squarefree_decomposition(f) == [(f, 1)]
 
     def test_leading_coefficient_divisible_by_the_prime(self):
         # monic, these have the denominator P, which f = D * p keeps as lc(f)
         f = U(-1, 0, exact._PRIME)
-        assert not exact._simple_roots_mod_prime(f.monic())
+        assert not exact.coprime_mod_prime(f.monic(), f.monic().derivative())
         assert squarefree_decomposition(f) == [(f.monic(), 1)]
         assert squarefree_decomposition(f * f) == [(f.monic(), 2)]
 

@@ -93,7 +93,65 @@ class TestIsIsolated:
         assert is_squarefree(poly("(z - w) * (z + w)"))
 
 
+def gift_wrapped_hull(terms):
+    """Vertices of the lower-left Newton boundary by decreasing z-exponent, by
+    gift-wrapping: the reference for the monotone chain of _compact_edges."""
+    pts = list(terms)
+    bmin = min(b for _, b in pts)
+    start = (min(a for a, b in pts if b == bmin), bmin)
+    amin = min(a for a, _ in pts)
+    end = (amin, min(b for a, b in pts if a == amin))
+    chain = [start]
+    cur = start
+    while cur != end:
+        best = None
+        for pnt in pts:
+            if pnt[0] >= cur[0]:
+                continue
+            if best is None:
+                best = pnt
+                continue
+            lhs = (pnt[1] - cur[1]) * (cur[0] - best[0])
+            rhs = (best[1] - cur[1]) * (cur[0] - pnt[0])
+            if lhs < rhs or (lhs == rhs and pnt[0] < best[0]):
+                best = pnt
+        chain.append(best)
+        cur = best
+    return chain
+
+
+def random_support(rng):
+    """A stripped support (min a = min b = 0) without the origin, with points
+    sharing a z-exponent.  Half are sums S + S of such a set: their hull is
+    twice that of S, and a lattice point between each pair of adjacent doubled
+    vertices makes a collinear run on every compact edge."""
+    n = rng.randint(2, 9)  # points near a convex curve, and scattered ones
+    pts = {(i, (n - i) ** 2 // n + rng.randint(0, 1)) for i in range(n)}
+    pts |= {(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(1, 3))}
+    pts |= {(0, rng.randint(n, 12)), (rng.randint(n, 12), 0)}
+    pts |= {(a, rng.randint(0, 8)) for a, _ in rng.sample(sorted(pts), 2)}
+    pts.discard((0, 0))
+    if rng.random() < 0.5:
+        pts = {(a + c, b + d) for a, b in pts for c, d in pts}
+    return dict.fromkeys(pts, 1)
+
+
 class TestNewtonPolygon:
+    def test_monotone_chain_matches_gift_wrapping(self):
+        rng, bent, collinear = random.Random(1998), 0, 0
+        for _ in range(500):
+            terms = random_support(rng)
+            edges = germs._compact_edges(terms)
+            assert [e.start for e in edges] + [edges[-1].end] == gift_wrapped_hull(terms)
+            bent += len(edges) > 1
+            collinear += any(sum(map(bool, e.edge_polynomial.coeffs)) > 2 for e in edges)
+            for e in edges:
+                (q, p), (a0, b0) = e.direction, e.start
+                assert all(p * a + q * b >= p * a0 + q * b0 for a, b in terms), (terms, e)
+            for e, f in zip(edges, edges[1:]):
+                assert e.direction[1] * f.direction[0] < f.direction[1] * e.direction[0]
+        assert bent > 250 and collinear > 250
+
     def test_single_edge_of_a1(self):
         edges = newton_polygon(poly("z^2 + w^2"))
         assert len(edges) == 1

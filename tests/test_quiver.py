@@ -128,8 +128,38 @@ class TestAlgebraBasis:
     def test_doubled_cycle_suspected_infinite(self):
         cycle = DualGraph(3, ((0, 1), (1, 2), (0, 2)))
         q = doubled_quiver(cycle)
-        with pytest.raises(InputError, match="a nonzero path of length 3 exists"):
+        with pytest.raises(InputError, match="nonzero paths of every length exist"):
             algebra_basis(q)
+
+    def test_two_cycle_with_one_relation_is_finite(self):
+        q = QuiverWithRelations(2, (Arrow(0, 1, "a"), Arrow(1, 0, "b")), ((0, 1),))
+        assert algebra_basis(q).labels == ("e1", "e2", "a", "b", "b·a")
+
+    def test_finite_exactly_when_no_long_path_exists(self):
+        # brute force: a nonzero path longer than the arrow count repeats an
+        # arrow, so the algebra is infinite exactly when one exists
+        rng, infinite = random.Random(21), 0
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            arrows = tuple(Arrow(rng.randrange(n), rng.randrange(n), f"x{i}")
+                           for i in range(rng.randint(0, 5)))
+            pairs = [(i, j) for i, x in enumerate(arrows) for j, y in enumerate(arrows)
+                     if x.target == y.source]
+            q = QuiverWithRelations(n, arrows, rng.sample(pairs, rng.randint(0, len(pairs))))
+            allowed = set(pairs) - set(q.relations)
+            walks, level = [], [(i,) for i in range(len(arrows))]
+            for _ in range(len(arrows)):
+                walks += level
+                level = [p + (j,) for p in level for i, j in allowed if i == p[-1]]
+            if level:
+                infinite += 1
+                with pytest.raises(InputError, match="every length"):
+                    algebra_basis(q)
+            else:
+                basis = algebra_basis(q)
+                assert sorted(p for _, _, p in basis.paths if p) == sorted(walks)
+                assert basis.dimension == n + len(walks)
+        assert 40 < infinite < 160
 
     def test_paths_respect_relations(self):
         rng = random.Random(3)

@@ -8,8 +8,8 @@ corpus and demo documents, the germs of the demo scripts and ADE catalog,
 and 300 seeded coordinate changes w -> w + c*z^k and z -> z + c*w^k of
 binomial products, each of which must also match its unsheared original
 (br_0 and the order are invariant under such a change).  Inputs too slow
-for the comparison are pinned as slow, not skipped.  Each test runs under
-one SIGALRM budget; together they take under 3 s.
+to compare both ways are compared with their unsheared form alone, or pinned
+as slow, not skipped.  Each test runs under one SIGALRM budget.
 """
 
 import random
@@ -28,14 +28,13 @@ from test_parsing import _corpus_texts, _workload_texts
 ROOT = Path(__file__).resolve().parents[1]
 
 # Sheared non-reduced products that raise NotIsolated in about 1 ms without
-# the shear and run for more than 2 s with it, with or without the step:
-# the recursion reaches depth 2, where the exact bivariate gcd of
-# _reduced_at_origin spends its time in Fraction products of _zp_prem.
-# Pinned, not skipped: each must still overrun PIN_ALARM_S, until the
-# reducedness test is fast on them.  Entries are (factors, shear): factors
-# (a, b, d) of z^a - d*w^b, shear (variable, c, k).  The first four were
-# found by an earlier comparison; the last four are the slow draws of
-# sheared_products(), in draw order.
+# the shear and in 0.03-0.9 s with it: the recursion reaches depth 2, where
+# the exact bivariate gcd of _reduced_at_origin runs its PRS in w (with z as
+# the main variable it ran for more than 5 s, in Fraction products).  Entries
+# are (factors, shear): factors (a, b, d) of z^a - d*w^b, shear (variable,
+# c, k).  The first four were found by an earlier comparison; the last four
+# are the slowest draws of sheared_products(), in draw order, which the
+# comparison both ways leaves to test_known_slow_inputs_stay_pinned.
 KNOWN_SLOW = [
     (((3, 4, 2), (2, 3, 3), (3, 4, 2)), ("w", 1, 3)),
     (((4, 4, 1), (2, 2, 2), (2, 2, 2)), ("w", 1, 3)),
@@ -47,6 +46,9 @@ KNOWN_SLOW = [
     (((4, 2, 1), (4, 2, 1), (3, 4, 1)), ("w", 2, 3)),
 ]
 PIN_ALARM_S = 0.1
+# Budget for one KNOWN_SLOW input: about 3x the slowest measured (0.9 s, on
+# 2 vCPUs and CPython 3.11), and below the 5 s that the PRS in z overran.
+KNOWN_SLOW_ALARM_S = 3.0
 
 # Golden germs that the path without the step cannot finish in the budget:
 # the sheared A_(N-1) at N = 10001 and the k = 9 deep shift (about 20 s).
@@ -172,7 +174,7 @@ def test_same_outcome_on_sheared_binomial_products(monkeypatch, alarm):
     fired, pinned = record_steps(monkeypatch), []
     for factors, shear in sheared_products():
         if (factors, shear) in KNOWN_SLOW:
-            pinned.append((factors, shear))  # overruns both ways; see below
+            pinned.append((factors, shear))  # compared to the unsheared form below
             continue
         g = poly(product_text(factors, shear))
         with_step, without = both_ways(g, monkeypatch)
@@ -184,12 +186,11 @@ def test_same_outcome_on_sheared_binomial_products(monkeypatch, alarm):
 @pytest.mark.parametrize("factors, shear", KNOWN_SLOW,
                          ids=lambda x: "".join(map(str, x)).replace(" ", ""))
 def test_known_slow_inputs_stay_pinned(factors, shear, alarm):
-    alarm(PIN_ALARM_S)
-    assert outcome(poly(product_text(factors)))[0] == "NotIsolated"
-    g = poly(product_text(factors, shear))
-    with pytest.raises(Overrun):
-        germs.branch_count(g)
-        raise AssertionError(f"{product_text(factors, shear)} finished: unpin it")
+    # pinned to the outcome of the unsheared form, within KNOWN_SLOW_ALARM_S
+    alarm(KNOWN_SLOW_ALARM_S)
+    unsheared = outcome(poly(product_text(factors)))
+    assert unsheared[0] == "NotIsolated"
+    assert outcome(poly(product_text(factors, shear))) == unsheared
 
 
 @pytest.mark.parametrize("text", SLOW_WITHOUT_STEP)
