@@ -26,7 +26,7 @@ bivariate gcd runs.  Integral coefficients stay ints.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import ExtensionUnsupported, InputError, KMinusOneError, NotIsolated
 from .exact import (BiPoly, UniPoly, bipoly_gcd, coprime_certified, quotient,
@@ -46,6 +46,8 @@ _MAX_DEPTH = 500
 # A repeated factor with an infinite expansion would otherwise be followed
 # forever, its chart germs growing at every level.
 _CONFIRM_DEPTH = 2
+
+_LAST_GERM = []  # [germ, answer] of the last _local_branch_total call
 
 
 @record
@@ -97,15 +99,28 @@ def is_isolated(g: BiPoly) -> bool:
     return _local_branch_total(g) is not None
 
 
-@lru_cache(maxsize=1)
 def _local_branch_total(g: BiPoly):
-    """Branch number of g at the origin, or None when g is not reduced
-    there.  Remembers the last germ, so is_isolated and branch_count
-    share one recursion."""
+    """Branch number of g at the origin, or None when g is not reduced there,
+    by the recursion on _primitive(g); _LAST_GERM keeps the last germ, matched
+    by identity, so is_isolated and branch_count share one recursion."""
+    if not _LAST_GERM or _LAST_GERM[0] is not g:
+        germ = _primitive(g)
+        try:
+            _LAST_GERM[:] = g, _branch_total(germ.terms, None, 0, germ)
+        except NotIsolated:
+            _LAST_GERM[:] = g, None
+    return _LAST_GERM[1]
+
+
+def _primitive(g: BiPoly) -> BiPoly:
+    """g over its content, an integer primitive polynomial, if g is rational."""
+    cs = g.terms.values()
     try:
-        return _branch_total(g.terms, None, 0, g)
-    except NotIsolated:
-        return None
+        den, num = lcm(*[c.denominator for c in cs]), gcd(*[c.numerator for c in cs])
+    except AttributeError:  # number-field coefficients
+        return g
+    return g if den == num == 1 else BiPoly._of(
+        {k: c.numerator * (den // c.denominator) // num for k, c in g.terms.items()})
 
 
 @lru_cache(maxsize=1)
@@ -134,7 +149,7 @@ def _share_factor_at_origin(f: BiPoly, *others: BiPoly) -> bool:
 
 def _strip_monomial_content(terms):
     """Remove the common factor z^alpha w^beta; returns (alpha, beta, rest)."""
-    alpha = min(a for a, _ in terms)
+    alpha = min(terms)[0]
     beta = min(b for _, b in terms)
     if alpha == 0 and beta == 0:
         return 0, 0, terms
@@ -145,13 +160,14 @@ def _compact_edges(terms):
     """NewtonEdge list from a stripped support (min a = min b = 0), ordered
     by decreasing z-exponent: the lower convex hull, by Andrew's monotone
     chain, of the support from a = 0 up to its first point (A, 0)."""
-    last = min(a for a, b in terms if not b)
     hull = []
-    for pnt in sorted(p for p in terms if p[0] < last or p == (last, 0)):
+    for pnt in sorted(terms):
         while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (pnt[1] - hull[-2][1])
                                  <= (hull[-1][1] - hull[-2][1]) * (pnt[0] - hull[-2][0])):
             hull.pop()  # not a strict left turn: hull[-1] is no vertex
         hull.append(pnt)
+        if not pnt[1]:  # the chain ends at its first point (A, 0)
+            break
     hull.reverse()
     zero = next(iter(terms.values())) * 0
     edges = []
@@ -262,9 +278,9 @@ def _whole_root_shift(terms, edges):
             root = quotient(-e[ell - 1], ell * e[ell])
             if any(e[j] != e[ell] * comb(ell, j) * (-root) ** (ell - j) for j in range(ell - 1)):
                 return None  # not c*(t - root)^l
-            rows = [BiPoly({(a, 0): f[a, b] for a, b in f if b == j}) for j in range(ell + 1)]
-            shifted_w = BiPoly({(0, 1): 1, **{(a, 0): quotient(-c, ell * f[0, ell])
-                                              for (a, _), c in rows[-2].terms.items()}})
+            rows = [BiPoly._of({(a, 0): f[a, b] for a, b in f if b == j}) for j in range(ell + 1)]
+            shifted_w = BiPoly._of({(0, 1): 1, **{(a, 0): quotient(-c, ell * f[0, ell])
+                                                  for (a, _), c in rows[-2].terms.items()}})
             out = reduce(lambda acc, row: acc * shifted_w + row, reversed(rows))  # Horner
             return {(b, a): c for (a, b), c in out.terms.items()} if swap else out.terms
 
@@ -306,7 +322,8 @@ def _branch_total(terms, field, depth: int, germ: BiPoly) -> int:
         edges = _compact_edges(terms)
         shifted = _whole_root_shift(terms, edges)
     for edge in edges:
-        for fac, mult in squarefree_decomposition(edge.edge_polynomial):
+        e = edge.edge_polynomial  # squarefree when linear
+        for fac, mult in [(e, 1)] if e.degree == 1 else squarefree_decomposition(e):
             if mult == 1:
                 # each distinct simple root is one branch, over any field
                 count += fac.degree

@@ -17,12 +17,13 @@ input is a syntax error at the operator, raised before a product, power or
 sum is computed, except for the term count of a sum, which is checked on
 its result.  Each check is exact: it takes the exact sizes of its operands.
 
-One regex scan reads the text into (kind, value, offset) tokens for one
-recursive descent; an error's line and column are computed from its offset
-when it is raised.  A factor of one term is a (coefficient, z-exponent,
-w-exponent) triple, multiplied and raised as a triple under the same exact
-checks (with coefficient 0 it is the zero polynomial, of size 0); a BiPoly
-is built only for a sum or a product with a factor of two or more terms.
+One regex scan reads the text into tokens for one recursive descent.  They
+carry no position: an error's line and column are computed from the index
+of its token when it is raised.  A factor of one term is a (coefficient,
+z-exponent, w-exponent) triple, multiplied and raised as a triple under the
+same exact checks (with coefficient 0 it is the zero polynomial, of size 0);
+a BiPoly is built only for a sum or a product with a factor of two or more
+terms, and a sum is added up in one dict.
 """
 
 from __future__ import annotations
@@ -52,39 +53,37 @@ MAX_COEFFICIENT_BITS = 16_384
 
 
 class _Failure(Exception):
-    """A syntax error at a character offset of the text: (message, offset)."""
+    """A syntax error at a token: (message, token index[, characters into it])."""
 
 
-# blanks, then a variable or operator, a number p or p/q, or any other
-# character: only trailing blanks are in no match, so the offsets add up
-_TOKEN = re.compile(r"([ \t\r\n]*)(?:([zw+*^()-])|([0-9]+)(/([0-9]*))?|([^ \t\r\n]))")
+# blanks, then a token: a variable or operator, a number p or p/q, or any
+# other character; only trailing blanks are in no match, so match k is token k
+_TOKEN = re.compile(r"[ \t\r\n]*([zw+*^()-]|[0-9]+(?:/[0-9]*)?|[^ \t\r\n])")
 
 
 def _tokenize(text: str) -> list:
-    """(kind, value, offset) tokens, the last ('end', None, len(text)); kind
-    is one of z w number + - * ^ ( ), and a number's value is an int if
-    written without '/'."""
-    tokens, offset = [], 0
-    for blanks, op, num, slash, den, other in _TOKEN.findall(text):
-        offset += len(blanks)
-        if op:
-            tokens.append((op, None, offset))
-            offset += 1
+    """The tokens of text, the last ('end', None): a variable or operator as
+    its one-character string, a number as ('number', value), the value an
+    int if written without '/'; token[0] is the kind of any token.  Tokens
+    carry no offset: parse_polynomial finds one when an error is raised."""
+    tokens = _TOKEN.findall(text)
+    for k, token in enumerate(tokens):
+        if token in "zw+-*^()":  # an operator: no other token is a substring
             continue
-        if other:
-            raise _Failure(f"unexpected character {other!r}", offset)
+        if not "0" <= token[0] <= "9":
+            raise _Failure(f"unexpected character {token!r}", k)
+        num, slash, den = token.partition("/")
         if slash and not den:
-            raise _Failure("expected digits after '/'", offset + len(num) + 1)
+            raise _Failure("expected digits after '/'", k, len(num) + 1)
         try:
             p, q = int(num), int(den or 1)
         except ValueError:  # past Python's limit on digits converted to int
             limit = sys.get_int_max_str_digits()
-            raise _Failure(f"number with more than {limit} digits", offset) from None
+            raise _Failure(f"number with more than {limit} digits", k) from None
         if not q:
-            raise _Failure("zero denominator", offset)
-        tokens.append(("number", Fraction(p, q) if slash else p, offset))
-        offset += len(num) + len(slash)
-    tokens.append(("end", None, len(text)))
+            raise _Failure("zero denominator", k)
+        tokens[k] = ("number", Fraction(p, q) if slash else p)
+    tokens.append(("end", None))
     return tokens
 
 
@@ -99,73 +98,78 @@ def _expr(tokens: list, i: int, depth: int):
         result = (-result[0], result[1], result[2]) if type(result) is tuple else -result
     if tokens[i][0] not in "+-":
         return result, i
-    result = _poly(result)
-    num, den = _weight(result.terms.items())  # a bound on the sum's, kept term by term
+    terms = dict(_items(result))  # the sum, added to in place term by term
+    num, den = _weight(terms.items())  # a bound on the sum's, kept term by term
     while tokens[i][0] in "+-":
-        op, _, offset = tokens[i]
+        at = i
         term, i = _term(tokens, i + 1, depth)
-        num, den = _weight(_items(term), num, den)
+        items = _items(term) if tokens[at][0] == "+" else [(k, -c) for k, c in _items(term)]
+        num, den = _weight(items, num, den)
         if (max(num, den) - 1).bit_length() > MAX_COEFFICIENT_BITS:  # den >= 1
-            raise _Failure(f"a coefficient above 2^{MAX_COEFFICIENT_BITS}", offset)
-        result = result + _poly(term) if op == "+" else result - _poly(term)
-        if len(result.terms) > MAX_TERMS:  # checked after: a sum costs no more
-            raise _Failure(f"more than {MAX_TERMS} terms", offset)
-    return result, i
+            raise _Failure(f"a coefficient above 2^{MAX_COEFFICIENT_BITS}", at)
+        for key, c in items:
+            if c := terms[key] + c if key in terms else c:
+                terms[key] = c
+            else:
+                del terms[key]
+        if len(terms) > MAX_TERMS:  # checked after: a sum costs no more
+            raise _Failure(f"more than {MAX_TERMS} terms", at)
+    return BiPoly._of(terms), i
 
 
 def _term(tokens: list, i: int, depth: int):
     """The value of the term at tokens[i] (see _expr), and the index after it."""
     result = star = None
     while True:
-        kind, value, offset = tokens[i]
+        kind = tokens[i][0]
         if kind == "z":
             value = (1, 1, 0)
         elif kind == "w":
             value = (1, 0, 1)
         elif kind == "number":
-            value = (value, 0, 0)
+            value = (tokens[i][1], 0, 0)
         elif kind == "(":
             if depth == MAX_NESTING:
-                raise _Failure(f"parentheses nested deeper than {MAX_NESTING}", offset)
+                raise _Failure(f"parentheses nested deeper than {MAX_NESTING}", i)
             value, i = _expr(tokens, i + 1, depth + 1)
-            kind, _, offset = tokens[i]
+            kind = tokens[i][0]
             if kind != ")":
-                raise _Failure(f"expected ')', found {kind!r}", offset)
+                raise _Failure(f"expected ')', found {kind!r}", i)
         else:
-            raise _Failure(f"expected 'z', 'w', a number or '(', found {kind!r}", offset)
+            raise _Failure(f"expected 'z', 'w', a number or '(', found {kind!r}", i)
         i += 1
         if tokens[i][0] == "^":
-            value = _power(value, tokens[i][2], tokens[i + 1])
+            value = _power(value, tokens, i)
             i += 2
         result = value if star is None else _product(result, value, star)
         if tokens[i][0] != "*":
             return result, i
-        star = tokens[i][2]
+        star = i
         i += 1
 
 
-def _power(base, offset: int, exponent: tuple):
-    """base ^ n for the '^' at offset and the exponent token (kind, n, offset)."""
-    kind, n, at = exponent
-    if kind != "number":
-        raise _Failure("expected a natural number exponent", at)
+def _power(base, tokens: list, i: int):
+    """base ^ n for the '^' at tokens[i] and the exponent token after it."""
+    if tokens[i + 1][0] != "number":
+        raise _Failure("expected a natural number exponent", i + 1)
+    n = tokens[i + 1][1]
     if type(n) is not int:  # written with '/'
-        raise _Failure("exponent must be a natural number", at)
+        raise _Failure("exponent must be a natural number", i + 1)
     if n > MAX_EXPONENT:
-        raise _Failure(f"exponent above {MAX_EXPONENT}", offset)
+        raise _Failure(f"exponent above {MAX_EXPONENT}", i)
     k, z, w, p, q = _size(base)
     # the n-th power of k terms has at most comb(n + k - 1, k - 1) terms
-    _check_size(offset, comb(n + k - 1, k - 1) if k else 1, n * z, n * w, n * p, n * q)
+    _check_size(i, comb(n + k - 1, k - 1) if k else 1, n * z, n * w, n * p, n * q)
     if type(base) is not tuple:
         return base ** n
     return _times((1, 0, 0), base, n) if n else (1, 0, 0)
 
 
-def _product(x, y, offset: int):
-    """x * y for the '*' at offset."""
+def _product(x, y, at: int):
+    """x * y for the '*' at token index at."""
     xt, xz, xw, xp, xq = _size(x)
     yt, yz, yw, yp, yq = _size(y)
-    _check_size(offset, xt * yt, xz + yz, xw + yw, xp + yp, xq + yq)
+    _check_size(at, xt * yt, xz + yz, xw + yw, xp + yp, xq + yq)
     if type(x) is tuple and type(y) is tuple:
         return _times(x, y)
     return _poly(x) * _poly(y)
@@ -180,9 +184,7 @@ def _times(x: tuple, y: tuple, n: int = 1) -> tuple:
 
 
 def _poly(value) -> BiPoly:
-    if type(value) is not tuple:
-        return value
-    return BiPoly._of(dict(_items(value)))
+    return BiPoly._of(dict(_items(value))) if type(value) is tuple else value
 
 
 def _items(value):
@@ -225,15 +227,15 @@ def _size(value) -> tuple:
     return terms, z_degree, w_degree, (num - 1).bit_length(), (den - 1).bit_length()
 
 
-def _check_size(offset: int, terms: int, z: int, w: int, num_bits: int, den_bits: int) -> None:
-    """Fail at offset when a result with at most terms terms and these
+def _check_size(at: int, terms: int, z: int, w: int, num_bits: int, den_bits: int) -> None:
+    """Fail at token index at when a result with at most terms terms and these
     degrees and bits (see _size) could pass a size limit."""
     if z > MAX_EXPONENT or w > MAX_EXPONENT:
-        raise _Failure(f"exponent above {MAX_EXPONENT}", offset)
+        raise _Failure(f"exponent above {MAX_EXPONENT}", at)
     if terms > MAX_TERMS and (z + 1) * (w + 1) > MAX_TERMS:
-        raise _Failure(f"more than {MAX_TERMS} terms", offset)
+        raise _Failure(f"more than {MAX_TERMS} terms", at)
     if num_bits > MAX_COEFFICIENT_BITS or den_bits > MAX_COEFFICIENT_BITS:
-        raise _Failure(f"a coefficient above 2^{MAX_COEFFICIENT_BITS}", offset)
+        raise _Failure(f"a coefficient above 2^{MAX_COEFFICIENT_BITS}", at)
 
 
 def parse_polynomial(text: str) -> BiPoly:
@@ -242,11 +244,13 @@ def parse_polynomial(text: str) -> BiPoly:
     try:
         tokens = _tokenize(text)
         result, i = _expr(tokens, 0, 0)
-        kind, _, offset = tokens[i]
+        kind = tokens[i][0]
         if kind != "end":
-            raise _Failure(f"unexpected {kind!r} after expression", offset)
+            raise _Failure(f"unexpected {kind!r} after expression", i)
     except _Failure as failure:
-        message, offset = failure.args
+        message, index, *into = failure.args
+        starts = [match.start(1) for match in _TOKEN.finditer(text)] + [len(text)]
+        offset = starts[index] + sum(into)
         line = text.count("\n", 0, offset) + 1
         raise PolySyntaxError(message, line, offset - text.rfind("\n", 0, offset)) from None
     return _poly(result)

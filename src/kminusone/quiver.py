@@ -47,15 +47,14 @@ class QuiverWithRelations:
 
 @record
 class AlgebraBasis:
-    """Nonzero paths as (source, target, arrow indices) rows, with their
-    labels: e_v for the idempotent at v, else the arrow names joined by '·'."""
+    """The labels of the nonzero paths: e_v for the idempotent at v, else
+    the arrow names joined by '·'."""
 
-    paths: tuple
     labels: tuple
 
     @property
     def dimension(self) -> int:
-        return len(self.paths)
+        return len(self.labels)
 
 
 def doubled_quiver(graph: DualGraph) -> QuiverWithRelations:
@@ -85,7 +84,8 @@ def burban_quiver(tree: DualGraph) -> QuiverWithRelations:
 
 
 def algebra_basis(quiver: QuiverWithRelations) -> AlgebraBasis:
-    """All nonzero paths, in the order (length, source, arrow indices).
+    """The labels of all nonzero paths, in the order (length, source, arrow
+    indices).
 
     The basis is finite exactly when the graph on arrows with an edge i -> j
     whenever j may follow i has no cycle; otherwise InputError is raised
@@ -96,30 +96,26 @@ def algebra_basis(quiver: QuiverWithRelations) -> AlgebraBasis:
     for i, a in enumerate(arrows):
         leaving[a.source].append(i)
     # relations are composable pairs, so what may follow a path depends only
-    # on its last arrow: (index, target, name) of each arrow allowed after it
-    follow = [[(j, arrows[j].target, arrows[j].name) for j in leaving[a.target]
-               if (i, j) not in forbidden] for i, a in enumerate(arrows)]
+    # on its last arrow: the indices of the arrows allowed after it
+    follow = [[j for j in leaving[a.target] if (i, j) not in forbidden]
+              for i, a in enumerate(arrows)]
     indegree = [0] * len(arrows)
-    for j, _, _ in (x for nxt in follow for x in nxt):
+    for j in (j for nxt in follow for j in nxt):
         indegree[j] += 1
     order = [i for i, d in enumerate(indegree) if not d]
     for i in order:  # Kahn's algorithm: the arrows on no cycle nor after one
-        for j, _, _ in follow[i]:
+        for j in follow[i]:
             indegree[j] -= 1
             if not indegree[j]:
                 order.append(j)
     if len(order) < len(arrows):
         raise InputError("nonzero paths of every length exist; "
                          "the algebra is infinite-dimensional")
-    paths = [(v, v, ()) for v in range(quiver.vertices)]
     labels = [f"e{v + 1}" for v in range(quiver.vertices)]
-    # each level lists (source, target, arrows, label, follow) in basis order,
-    # so extending its paths in turn by increasing arrow index keeps that order
-    level = [(v, arrows[i].target, (i,), arrows[i].name, follow[i])
-             for v in range(quiver.vertices) for i in leaving[v]]
+    # each level lists (label, last arrow) in basis order, so extending its
+    # paths in turn by increasing arrow index keeps that order
+    level = [(arrows[i].name, i) for v in range(quiver.vertices) for i in leaving[v]]
     while level:
-        paths += [(s, t, p) for s, t, p, _, _ in level]
-        labels += [label for _, _, _, label, _ in level]
-        level = [(s, u, p + (j,), f"{label}·{name}", follow[j])
-                 for s, _, p, label, nxt in level for j, u, name in nxt]
-    return AlgebraBasis(tuple(paths), tuple(labels))
+        labels += [label for label, _ in level]
+        level = [(f"{label}·{arrows[j].name}", j) for label, i in level for j in follow[i]]
+    return AlgebraBasis(tuple(labels))

@@ -96,6 +96,16 @@ class TestGermCommands:
         code, out, _ = run(capsys, "branches", "--factors", f"{f},{g}")
         assert code == 0 and f"branches = {branches}" in out
 
+    def test_leading_minus_after_double_dash(self, capsys):
+        # argparse reads a germ that starts with '-' and holds no space as an option
+        assert run(capsys, "branches", "-z*w") == (1, "", "error: unrecognized arguments: -z*w\n")
+        code, out, err = run(capsys, "branches", "--factors", "-z,w")
+        assert (code, out) == (1, "") and "Traceback" not in err
+        for argv in (("--", "-z*w"), ("--factors=-z,w",), ("--factors", "-z, w"),
+                     ("-z*w + w^3",)):
+            code, out, _ = run(capsys, "branches", *argv)
+            assert code == 0 and "branches = 2" in out, argv
+
     def test_factors_fallback(self, capsys):
         code, out, _ = run(capsys, "branches",
                            "--factors", "z^7 - 2*w^7, w")

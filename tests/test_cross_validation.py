@@ -435,7 +435,7 @@ def test_depth_two_fallback_matches_sympy_local_reducedness(monkeypatch):
         g = base * h * h
         expect = locally_reduced(g)
         del gcds[:]
-        germs._local_branch_total.cache_clear()
+        germs._LAST_GERM.clear()
         germs._reduced_at_origin.cache_clear()
         assert is_isolated(g) == expect, g.terms
         if not through_origin:  # the recursion reaches depth 2

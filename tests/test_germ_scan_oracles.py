@@ -11,6 +11,8 @@ changed; it is only imported.
 
 import signal
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +24,8 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 from kminusone import cli, germs, parsing  # noqa: E402
+from kminusone.errors import KMinusOneError  # noqa: E402
+from test_parsing import _corpus_texts  # noqa: E402
 
 KM = SimpleNamespace(cli=cli, germs=germs, parsing=parsing)
 UNSUPPORTED = workloads.clustered_text(7, 7, 2)
@@ -63,3 +67,43 @@ def test_every_germ_scan_operation_meets_its_oracle(seed, alarm):
         else:
             assert status == "ok", (op["input"], status, detail)
     assert unsupported == 1 and len(ops) > 100
+
+
+def _answer(f, g):
+    """f(g), or the class of the error f raises on g."""
+    try:
+        return f(g)
+    except KMinusOneError as exc:
+        return type(exc)
+
+
+def _report(g):
+    rep = germs.branch_count(g)
+    return rep.order, rep.branch_count
+
+
+def test_unit_multiples_answer_as_the_germ_does(monkeypatch):
+    # the recursion runs on the primitive integer multiple of a germ: for
+    # c = 2, -3/7 and 10^12 the answers on c*g match those of the recursion
+    # on g as given, over every germ text of the golden corpus and of
+    # germ-scan seeds 1-3, factor lists and clustered products included
+    texts = set()
+    for seed in (1, 2, 3):
+        for op in workloads.generate("germ-scan", seed):
+            texts.update([op["input"]] if op["kind"] == "germ" else op["input"])
+    germ_list = []
+    for text in sorted(texts) + _corpus_texts():
+        try:
+            germ_list.append(parsing.parse_polynomial(text))
+        except KMinusOneError:
+            pass  # not a germ text
+    start = time.monotonic()
+    with monkeypatch.context() as as_given:
+        as_given.setattr(germs, "_primitive", lambda g: g)
+        expected = [(_answer(germs.is_isolated, g), _answer(_report, g)) for g in germ_list]
+    for g, (isolated, report) in zip(germ_list, expected):
+        for c in (2, Fraction(-3, 7), 10 ** 12):
+            h = g.scale(c)
+            assert _answer(germs.is_isolated, h) == isolated, (c, g.terms)
+            assert _answer(_report, h) == report, (c, g.terms)
+    assert len(germ_list) > 200 and time.monotonic() - start < 3.0

@@ -293,7 +293,7 @@ class TestBranchCount:
             return recurse(terms, field, depth, germ)
 
         monkeypatch.setattr(germs, "_branch_total", counting)
-        germs._local_branch_total.cache_clear()
+        germs._LAST_GERM.clear()
         for text in ("z^2*w + w^3", "(z - w^2)*(z - w^2 - w^3)", "z*w*(z-1)^2"):
             calls.clear()
             branch_count(poly(text))
@@ -475,7 +475,7 @@ class TestDeepShift:
         signal.setitimer(signal.ITIMER_REAL, self.BUDGET_S)
         try:
             for g, branches in shift_family():
-                germs._local_branch_total.cache_clear()
+                germs._LAST_GERM.clear()
                 assert branch_count(g).branch_count == branches, g
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)

@@ -51,10 +51,10 @@ def checked(monkeypatch):
 
     monkeypatch.setattr(UniPoly, "__init__", checked_init)
     monkeypatch.setattr(germs, "_branch_total", checked_total)
-    germs._local_branch_total.cache_clear()
+    germs._LAST_GERM.clear()
     germs._reduced_at_origin.cache_clear()
     yield
-    germs._local_branch_total.cache_clear()
+    germs._LAST_GERM.clear()
     germs._reduced_at_origin.cache_clear()
 
 

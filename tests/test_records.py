@@ -57,7 +57,7 @@ FACTORIES = {
     CurveSpec: lambda: CurveSpec(pieces=(GeneralCurvePiece(1, (2,)),)),
     Arrow: lambda: Arrow(0, 1, "a"),
     QuiverWithRelations: _quiver,
-    AlgebraBasis: lambda: AlgebraBasis(((0, 0, ()), (0, 1, (0,))), ("e1", "a")),
+    AlgebraBasis: lambda: AlgebraBasis(("e1", "a")),
     Certificate: lambda: Certificate(CertificateKind.BURBAN_TREE, _quiver()),
     Verdict: lambda: Verdict(Decision.NO, FinAbGroup(1)),
 }

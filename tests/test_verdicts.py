@@ -89,6 +89,16 @@ class TestThreefoldDecisions:
         assert v.decision is Decision.YES
         assert v.certificate.kind is CertificateKind.KAWAMATA_P2P2_SECTION
 
+    def test_catalog_entry_replayed_once(self, monkeypatch):
+        from kminusone import verdicts
+        real, calls = verdicts.threefold_invariants, []
+        monkeypatch.setattr(verdicts, "threefold_invariants",
+                            lambda spec: calls.append(spec) or real(spec))
+        verdicts._REPLAYED.clear()
+        first, second = decide(nodal_quadric_spec()), decide(nodal_quadric_spec())
+        assert first == second and first.decision is Decision.YES
+        assert len(calls) == 3  # each document once, the catalog replay once
+
     def test_smooth_threefold_yes(self):
         spec = VarietySpec(singularities=(), pic_rank=1, cl_rank=1)
         assert decide(spec).decision is Decision.YES

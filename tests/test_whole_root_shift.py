@@ -122,7 +122,7 @@ def record_steps(monkeypatch):
 
 def outcome(g):
     """branch_count's report on g, or the type and message of its error."""
-    germs._local_branch_total.cache_clear()
+    germs._LAST_GERM.clear()
     germs._reduced_at_origin.cache_clear()
     try:
         return germs.branch_count(g)
