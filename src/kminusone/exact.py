@@ -299,14 +299,14 @@ def squarefree_decomposition(p: UniPoly):
     p = lc * prod a_k^k, the a_k monic, squarefree and pairwise coprime.
     Factors with a_k constant are omitted.
 
-    A linear p, or a rational p coprime to p' by coprime_mod_prime (run on
-    p as given), is squarefree: the result is [(p.monic(), 1)].  Otherwise,
-    and for number-field coefficients, Yun decides."""
+    A rational p coprime to p' by coprime_mod_prime (run on p as given) is
+    squarefree over Q: the result is [(p.monic(), 1)].  Otherwise, and for
+    number-field coefficients, Yun decides."""
     if p.is_zero():
         raise InputError("squarefree decomposition of the zero polynomial")
     if p.degree <= 0:
         return []
-    if p.degree == 1 or coprime_mod_prime(p, p.derivative()):
+    if coprime_mod_prime(p, p.derivative()):
         return [(p.monic(), 1)]
     p = p.monic()
     dp = p.derivative()
@@ -417,7 +417,7 @@ class BiPoly:
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
-                s = t[k] + c1 * c2 if k in t else c1 * c2  # no 0 + c1 * c2 for a new key
+                s = t[k] + c1 * c2 if k in t else c1 * c2
                 if s:
                     t[k] = s
                 elif k in t:

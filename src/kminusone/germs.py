@@ -26,7 +26,7 @@ bivariate gcd runs.  Integral coefficients stay ints.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .errors import ExtensionUnsupported, InputError, KMinusOneError, NotIsolated
 from .exact import (BiPoly, UniPoly, bipoly_gcd, coprime_certified, quotient,
@@ -100,27 +100,15 @@ def is_isolated(g: BiPoly) -> bool:
 
 
 def _local_branch_total(g: BiPoly):
-    """Branch number of g at the origin, or None when g is not reduced there,
-    by the recursion on _primitive(g); _LAST_GERM keeps the last germ, matched
-    by identity, so is_isolated and branch_count share one recursion."""
+    """Branch number of g at the origin, or None when g is not reduced there.
+    _LAST_GERM keeps the last germ, matched by identity, so is_isolated and
+    branch_count share one recursion."""
     if not _LAST_GERM or _LAST_GERM[0] is not g:
-        germ = _primitive(g)
         try:
-            _LAST_GERM[:] = g, _branch_total(germ.terms, None, 0, germ)
+            _LAST_GERM[:] = g, _branch_total(g.terms, None, 0, g)
         except NotIsolated:
             _LAST_GERM[:] = g, None
     return _LAST_GERM[1]
-
-
-def _primitive(g: BiPoly) -> BiPoly:
-    """g over its content, an integer primitive polynomial, if g is rational."""
-    cs = g.terms.values()
-    try:
-        den, num = lcm(*[c.denominator for c in cs]), gcd(*[c.numerator for c in cs])
-    except AttributeError:  # number-field coefficients
-        return g
-    return g if den == num == 1 else BiPoly._of(
-        {k: c.numerator * (den // c.denominator) // num for k, c in g.terms.items()})
 
 
 @lru_cache(maxsize=1)
