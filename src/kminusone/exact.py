@@ -19,7 +19,10 @@ Gauss's lemma (von zur Gathen and Gerhard, Modern Computer Algebra, chs. 6
 and 14).  It proves a rational polynomial coprime to its derivative, so
 squarefree without Yun's algorithm, and, at small integers z = a, two
 bivariate polynomials free of a common factor of positive w-degree before
-any exact bivariate gcd runs.
+any exact bivariate gcd runs.  A rational polynomial it cannot certify goes
+through Yun's algorithm over Z[t] (Yun 1976): the primitive integer multiple,
+gcds by the primitive pseudo-remainder sequence (int_gcd), exact quotients by
+primitive divisors, and one division by each factor's leading coefficient.
 """
 
 from __future__ import annotations
@@ -244,13 +247,53 @@ def _one_like(a: UniPoly, b: UniPoly) -> UniPoly:
 _PRIME = 2 ** 61 - 1
 
 
-def _mod_prime(p: UniPoly) -> list:
-    """D * p modulo _PRIME, D the lcm of the denominators, without leading zeros."""
+def _cleared(p: UniPoly) -> list:
+    """The coefficients of D * p, D the lcm of the denominators of rational p."""
     den = lcm(*(c.denominator for c in p.coeffs))
-    out = [c.numerator * (den // c.denominator) % _PRIME for c in p.coeffs]
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+def to_integer_poly(p: UniPoly) -> list:
+    """The primitive integer multiple of a rational polynomial, as its
+    coefficient list low degree first: denominators cleared, content
+    divided out, the sign of the leading coefficient kept."""
+    ints = _cleared(p)
+    content = gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _mod_prime(p: UniPoly) -> list:
+    """D * p modulo _PRIME (see _cleared), without leading zeros."""
+    out = [c % _PRIME for c in _cleared(p)]
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def int_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """A gcd in Z[t] of integer polynomials, not both zero, primitive, by the
+    primitive pseudo-remainder sequence: each remainder is lc(b)/h * a -
+    lc(a)/h * t^k * b for h = gcd(lc(a), lc(b)), a nonzero integer multiple
+    of the Euclidean one, and is replaced by its primitive part (Gauss's
+    lemma: the primitive gcd divides every remainder)."""
+    a, b = list(a.coeffs), list(b.coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        lb, db = b[-1], len(b) - 1
+        while len(a) > db:
+            la = a.pop()
+            h = gcd(la, lb)
+            la, scale, shift = la // h, lb // h, len(a) - db
+            a = [c * scale for c in a]
+            for i, c in enumerate(b[:-1]):
+                a[shift + i] -= la * c
+            while a and not a[-1]:
+                a.pop()
+        content = gcd(*a)
+        a, b = b, [c // content for c in a]
+    content = gcd(*a)
+    return UniPoly([c // content for c in a])
 
 
 def coprime_mod_prime(f: UniPoly, g: UniPoly) -> bool:
@@ -300,31 +343,33 @@ def squarefree_decomposition(p: UniPoly):
     Factors with a_k constant are omitted.
 
     A rational p coprime to p' by coprime_mod_prime (run on p as given) is
-    squarefree over Q: the result is [(p.monic(), 1)].  Otherwise, and for
-    number-field coefficients, Yun decides."""
+    squarefree over Q: the result is [(p.monic(), 1)].  Otherwise Yun runs
+    over Z[t] on the primitive integer multiple of p, with int_gcd, and each
+    quotient by a primitive gcd is exact in Z[t] by Gauss's lemma; each a_k
+    is made monic at the end.  Over Q(alpha) the same loop runs on p.monic()
+    with the monic uni_gcd."""
     if p.is_zero():
         raise InputError("squarefree decomposition of the zero polynomial")
     if p.degree <= 0:
         return []
     if coprime_mod_prime(p, p.derivative()):
         return [(p.monic(), 1)]
-    p = p.monic()
+    rational = all(isinstance(c, (int, Fraction)) for c in p.coeffs)
+    p, poly_gcd = (UniPoly(to_integer_poly(p)), int_gcd) if rational else (p.monic(), uni_gcd)
     dp = p.derivative()
-    g = uni_gcd(p, dp)
+    g = poly_gcd(p, dp)
     if g.degree <= 0:
-        return [(p, 1)]
-    out = []
+        return [(p.monic() if rational else p, 1)]
     c = p // g
     d = dp // g - c.derivative()
-    k = 1
+    out, k = [], 1
     while c.degree > 0:
-        a = uni_gcd(c, d)
+        a = poly_gcd(c, d)
         if a.degree > 0:
-            out.append((a, k))
+            out.append((a.monic() if rational else a, k))
         c_next = c // a
         d = d // a - c_next.derivative()
-        c = c_next
-        k += 1
+        c, k = c_next, k + 1
     return out
 
 

@@ -15,7 +15,7 @@ from itertools import product
 from math import gcd, isqrt
 
 from .errors import ExtensionUnsupported, InputError
-from .exact import UniPoly, power, quotient, uni_ext_gcd
+from .exact import UniPoly, power, quotient, to_integer_poly, uni_ext_gcd
 
 
 class NumberField:
@@ -181,52 +181,31 @@ def _divisors(n: int):
     return sorted(set(small + [n // d for d in small]))
 
 
-def to_integer_poly(p: UniPoly):
-    """Scale a rational polynomial to a primitive integer polynomial.
-    Returns the integer coefficient list, low degree first."""
-    if p.is_zero():
-        return []
-    denom = 1
-    for c in p.coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    return [c // g for c in ints]
-
-
 def rational_roots(p: UniPoly):
-    """All rational roots of p, without multiplicity (p is assumed
-    squarefree by callers, so multiplicities are 1 anyway)."""
+    """All rational roots of p, without multiplicity, in lowest terms (ints
+    when integral).  For the primitive integer multiple c_0 + ... + c_k t^k
+    of p with c_0 != 0, a root n/d in lowest terms has n | c_0 and d | c_k,
+    and it is one exactly when the integer d^k p(n/d), summed by Horner's
+    rule on n with powers of d, is 0; a zero root is split off first."""
     if p.is_zero():
         raise InputError("roots of the zero polynomial")
     ints = to_integer_poly(p)
-    # strip t^k: root 0
-    roots = []
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    if k:
-        roots.append(0)
-        ints = ints[k:]
+    k = next(i for i, c in enumerate(ints) if c)
+    roots, ints = [0] if k else [], ints[k:]
     if len(ints) == 1:
         return roots
     if len(ints) == 2:
         return roots + [quotient(-ints[0], ints[1])]
-    a0, an = ints[0], ints[-1]
-    seen = set()
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                acc = 0
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
+    dens = _divisors(ints[-1])
+    for num in _divisors(ints[0]):
+        for den in (d for d in dens if gcd(num, d) == 1):  # n/d in lowest terms
+            for n in (num, -num):
+                acc, scale = ints[-1], 1
+                for c in reversed(ints[:-1]):
+                    scale *= den
+                    acc = acc * n + c * scale
+                if not acc:
+                    roots.append(quotient(n, den))
     return roots
 
 

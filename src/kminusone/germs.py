@@ -1,16 +1,18 @@
 """Plane-curve germ analysis: order, Newton polygon, isolatedness, and the
 branch number br_0 of g(z, w) at the origin.
 
-The branch count runs the classical Newton-polygon recursion over exact
-rationals.  Distinct simple roots of an edge polynomial are counted by
-the degree of its squarefree part (no root extraction needed), so germs
-whose branches live over extensions of Q, like z^2 + w^2, cost nothing
-extra.  Only a *multiple* root forces a coordinate shift: rational roots
-shift over Q, irrational ones adjoin a single certified extension
-Q[t]/(m); anything beyond that raises ExtensionUnsupported and the
-factored-input fallback keeps the computation possible.  A germ with one
-edge c*(t - gamma)^l, monic of degree l in its unit-step variable, first
-shifts by its whole root (Tschirnhausen), which fixes the origin and br_0.
+The branch count runs the classical Newton-polygon recursion.  Distinct
+simple roots of an edge polynomial are counted by the degree of its
+squarefree part (no root extraction needed), so germs whose branches live
+over extensions of Q, like z^2 + w^2, cost nothing extra.  Only a
+*multiple* root forces a coordinate shift.  A rational root r/s shifts in
+integers, the chart germ G becoming s^D * G(u, (v + r)/s) over its content
+(an affine map onto the root times a unit: same br_0 and reducedness, see
+_recursion_germ); irrational ones adjoin a single certified extension
+Q[t]/(m), and anything beyond that raises ExtensionUnsupported, which the
+factored-input fallback avoids.  A germ with one edge c*(t - gamma)^l, monic
+of degree l in its unit-step variable, first shifts by its whole root
+(Tschirnhausen), which fixes the origin and br_0.
 
 Isolatedness is local and comes from the same recursion: a factor
 repeated through the origin surfaces as monomial content with exponent
@@ -26,7 +28,9 @@ bivariate gcd runs.  Integral coefficients stay ints.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from math import comb, gcd
+from itertools import accumulate
+from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import ExtensionUnsupported, InputError, KMinusOneError, NotIsolated
 from .exact import (BiPoly, UniPoly, bipoly_gcd, coprime_certified, quotient,
@@ -196,38 +200,39 @@ def _bezout_chart(q: int, p: int):
 
 def _recursion_germ(terms, edge: NewtonEdge, gamma):
     """Shifted strict transform at the exceptional point v = gamma of the
-    toric chart z = u^p v^alpha, w = u^q v^beta attached to the edge."""
+    toric chart z = u^p v^alpha, w = u^q v^beta attached to the edge.
+
+    With gamma = r/s (s = 1 for a number-field root) and G the strict
+    transform, of degree D in v after its content v^m (supported on v = 0,
+    away from gamma != 0) is divided out, the result is s^D * G(u, (v + r)/s)
+    over its content.  (1) v -> (v + r)/s is an affine automorphism of the
+    (u, v)-plane taking the origin to (0, gamma), so it carries the germ of G
+    at (0, gamma) to a germ at the origin with the same br_0 and the same
+    reducedness.  (2) s^D over the content is a nonzero rational, a unit of
+    the local ring, so it changes neither.  The exponent map is unimodular
+    (p*beta - q*alpha = 1), so no two terms meet; a rational G is first
+    scaled to integers, and then every coefficient is an int."""
     q, p = edge.direction
-    a0, b0 = edge.start
-    n_min = p * a0 + q * b0
+    n_min = p * edge.start[0] + q * edge.start[1]
     alpha, beta = _bezout_chart(q, p)
-
-    chart = {}
-    for (a, b), c in terms.items():
-        key = (alpha * a + beta * b, p * a + q * b - n_min)
-        chart[key] = chart.get(key, c * 0) + c
-    chart = {k: c for k, c in chart.items() if c}
-    # the exceptional content v^m is supported on v = 0, away from gamma != 0
+    chart = {(alpha * a + beta * b, p * a + q * b - n_min): c for (a, b), c in terms.items()}
     vmin = min(ve for ve, _ in chart)
-    if vmin:
-        chart = {(ve - vmin, ue): c for (ve, ue), c in chart.items()}
-
-    gamma_pows = [gamma * 0 + 1]
-    max_ve = max(ve for ve, _ in chart)
-    for _ in range(max_ve):
-        gamma_pows.append(gamma_pows[-1] * gamma)
-
+    top = max(ve for ve, _ in chart) - vmin
+    r, s, rational = gamma, 1, not any(isinstance(c, NFElem) for c in (gamma, *chart.values()))
+    if rational:
+        r, s, den = gamma.numerator, gamma.denominator, lcm(*(c.denominator
+                                                              for c in chart.values()))
+        chart = {k: c.numerator * (den // c.denominator) for k, c in chart.items()}
+    r_pows = list(accumulate([r] * top, mul, initial=r * 0 + 1))
     out = {}
     for (ve, ue), c in chart.items():
+        ve -= vmin
+        c = c * s ** (top - ve)
         for i in range(ve + 1):
-            key = (i, ue)
-            add = c * comb(ve, i) * gamma_pows[ve - i]
-            s = out.get(key, add * 0) + add
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+            out[i, ue] = out.get((i, ue), 0) + c * comb(ve, i) * r_pows[ve - i]
+    out = {k: c for k, c in out.items() if c}
+    content = gcd(*out.values()) if rational else 1
+    return {k: c // content for k, c in out.items()} if content != 1 else out
 
 
 def _roots_of_multiple_factor(fac: UniPoly, field):
@@ -256,7 +261,9 @@ def _roots_of_multiple_factor(fac: UniPoly, field):
 
 def _whole_root_shift(terms, edges):
     """_branch_total's Tschirnhausen step (Abhyankar-Moh 1973): the stripped
-    germ with compact ``edges`` shifted exactly by its whole root, or None."""
+    germ with compact ``edges`` shifted exactly by its whole root, or None.
+    Each term c z^a w^b becomes c z^a (w + S)^b, expanded by the binomial
+    theorem with the powers of the shift S(z)."""
     ell, e = edges[0].lattice_length, edges[0].edge_polynomial.coeffs
     if len(edges) > 1 or ell < 2 or not e[ell - 1]:
         return None
@@ -266,11 +273,15 @@ def _whole_root_shift(terms, edges):
             root = quotient(-e[ell - 1], ell * e[ell])
             if any(e[j] != e[ell] * comb(ell, j) * (-root) ** (ell - j) for j in range(ell - 1)):
                 return None  # not c*(t - root)^l
-            rows = [BiPoly._of({(a, 0): f[a, b] for a, b in f if b == j}) for j in range(ell + 1)]
-            shifted_w = BiPoly._of({(0, 1): 1, **{(a, 0): quotient(-c, ell * f[0, ell])
-                                                  for (a, _), c in rows[-2].terms.items()}})
-            out = reduce(lambda acc, row: acc * shifted_w + row, reversed(rows))  # Horner
-            return {(b, a): c for (a, b), c in out.terms.items()} if swap else out.terms
+            shift = BiPoly._of({(a, 0): quotient(-c, ell * f[0, ell])
+                                for (a, b), c in f.items() if b == ell - 1})
+            pows, out = list(accumulate([shift] * ell, mul, initial=BiPoly.constant(1))), {}
+            for (a, b), c in f.items():
+                for i in range(b + 1):
+                    m = c * comb(b, i)
+                    for (k, _), x in pows[b - i].terms.items():
+                        out[a + k, i] = out.get((a + k, i), 0) + m * x
+            return {((i, a) if swap else (a, i)): c for (a, i), c in out.items() if c}
 
 
 def _branch_total(terms, field, depth: int, germ: BiPoly) -> int:

@@ -52,6 +52,10 @@ MAX_TERMS = 500
 MAX_COEFFICIENT_BITS = 16_384
 
 
+# a variable token's value, a one-term triple, and its _size
+_VARIABLES = {"z": ((1, 1, 0), (1, 1, 0, 0, 0)), "w": ((1, 0, 1), (1, 0, 1, 0, 0))}
+
+
 class _Failure(Exception):
     """A syntax error at a token: (message, token index[, characters into it])."""
 
@@ -118,20 +122,20 @@ def _expr(tokens: list, i: int, depth: int):
 
 
 def _term(tokens: list, i: int, depth: int):
-    """The value of the term at tokens[i] (see _expr), and the index after it."""
+    """The value of the term at tokens[i] (see _expr), and the index after it.
+    Each operand of a '^' or '*' is sized once: a variable by _VARIABLES, any
+    other value by _size when an operator first takes it."""
     result = star = None
     while True:
         kind = tokens[i][0]
-        if kind == "z":
-            value = (1, 1, 0)
-        elif kind == "w":
-            value = (1, 0, 1)
+        if kind in _VARIABLES:
+            value, value_size = _VARIABLES[kind]
         elif kind == "number":
-            value = (tokens[i][1], 0, 0)
+            value, value_size = (tokens[i][1], 0, 0), None
         elif kind == "(":
             if depth == MAX_NESTING:
                 raise _Failure(f"parentheses nested deeper than {MAX_NESTING}", i)
-            value, i = _expr(tokens, i + 1, depth + 1)
+            (value, i), value_size = _expr(tokens, i + 1, depth + 1), None
             kind = tokens[i][0]
             if kind != ")":
                 raise _Failure(f"expected ')', found {kind!r}", i)
@@ -139,17 +143,21 @@ def _term(tokens: list, i: int, depth: int):
             raise _Failure(f"expected 'z', 'w', a number or '(', found {kind!r}", i)
         i += 1
         if tokens[i][0] == "^":
-            value = _power(value, tokens, i)
+            value = _power(value, value_size or _size(value), tokens, i)
+            value_size = None
             i += 2
-        result = value if star is None else _product(result, value, star)
+        if star is not None:
+            value = _product(result, _size(result), value, value_size or _size(value), star)
+        result = value
         if tokens[i][0] != "*":
             return result, i
         star = i
         i += 1
 
 
-def _power(base, tokens: list, i: int):
-    """base ^ n for the '^' at tokens[i] and the exponent token after it."""
+def _power(base, size: tuple, tokens: list, i: int):
+    """base ^ n, base of the given _size, for the '^' at tokens[i] and the
+    exponent token after it."""
     if tokens[i + 1][0] != "number":
         raise _Failure("expected a natural number exponent", i + 1)
     n = tokens[i + 1][1]
@@ -157,7 +165,7 @@ def _power(base, tokens: list, i: int):
         raise _Failure("exponent must be a natural number", i + 1)
     if n > MAX_EXPONENT:
         raise _Failure(f"exponent above {MAX_EXPONENT}", i)
-    k, z, w, p, q = _size(base)
+    k, z, w, p, q = size
     # the n-th power of k terms has at most comb(n + k - 1, k - 1) terms
     _check_size(i, comb(n + k - 1, k - 1) if k else 1, n * z, n * w, n * p, n * q)
     if type(base) is not tuple:
@@ -165,10 +173,10 @@ def _power(base, tokens: list, i: int):
     return _times((1, 0, 0), base, n) if n else (1, 0, 0)
 
 
-def _product(x, y, at: int):
-    """x * y for the '*' at token index at."""
-    xt, xz, xw, xp, xq = _size(x)
-    yt, yz, yw, yp, yq = _size(y)
+def _product(x, x_size: tuple, y, y_size: tuple, at: int):
+    """x * y, of the given _size, for the '*' at token index at."""
+    xt, xz, xw, xp, xq = x_size
+    yt, yz, yw, yp, yq = y_size
     _check_size(at, xt * yt, xz + yz, xw + yw, xp + yp, xq + yq)
     if type(x) is tuple and type(y) is tuple:
         return _times(x, y)
@@ -176,10 +184,15 @@ def _product(x, y, at: int):
 
 
 def _times(x: tuple, y: tuple, n: int = 1) -> tuple:
-    """The triple x * y^n (n >= 1): every product and power of triples."""
+    """The triple x * y^n (n >= 1): every product and power of triples.  An
+    int factor 1 is skipped: the product would equal the other, same type."""
     c, a, b = y
     if n != 1:
         c, a, b = c ** n, a * n, b * n
+    if type(c) is int and c == 1:
+        return x[0], x[1] + a, x[2] + b
+    if type(x[0]) is int and x[0] == 1:
+        return c, x[1] + a, x[2] + b
     return x[0] * c, x[1] + a, x[2] + b
 
 

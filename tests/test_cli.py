@@ -7,7 +7,6 @@ import io
 import json
 import os
 import random
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alarm_budget import budget
 from kminusone.cli import MAX_GRAPH_SIZE, Report, emit_report, parse_spec_document, \
     render_quiver_report, run_cli
 from kminusone.curves import CurveSpec, DualGraph
@@ -79,17 +79,9 @@ class TestGermCommands:
     # --factors answers
     @pytest.mark.parametrize("a, b, c, branches", [(3, 3, 10**30, 6), (4, 4, 10**30 + 2, 8)])
     def test_huge_coefficient_refused_not_trial_divided(self, capsys, a, b, c, branches):
-        def out_of_time(signum, frame):
-            raise AssertionError("trial division ran past its 2 s budget")
-
         f, g = (f"z^{a} - {c}*w^{b} + {k}*w^{b + 1}" for k in (1, 2))
-        previous = signal.signal(signal.SIGALRM, out_of_time)
-        signal.setitimer(signal.ITIMER_REAL, 2.0)
-        try:
+        with budget(2.0, AssertionError, "trial division ran past its 2 s budget"):
             code, out, err = run(capsys, "branches", f"({f})*({g})")
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert (code, out) == (2, "")
         assert err == ("unsupported: trial factorization budget exceeded; "
                        "re-run with --factors supplying the irreducible factors\n")
@@ -484,6 +476,7 @@ class TestEmitReport:
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()  # the report is megabytes, far past any pipe buffer
         err = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert b"Traceback" not in err and b"BrokenPipe" not in err
 

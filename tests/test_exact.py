@@ -102,7 +102,7 @@ class TestSquarefreeCertificate:
     def test_certified_polynomials_skip_yun(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("Yun's algorithm ran")
-        monkeypatch.setattr(exact, "uni_gcd", refuse)
+        monkeypatch.setattr(exact, "int_gcd", refuse)
         # the edge polynomial of (z^2 - 5/2*w^3)*(z^2 - w^3)
         edge = UniPoly((Fraction(5, 2), 0, Fraction(-7, 2), 0, Fraction(1)))
         assert squarefree_decomposition(edge) == [(edge, 1)]

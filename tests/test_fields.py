@@ -1,10 +1,10 @@
 """Number fields and exact factorization over Q."""
 
-import signal
 from fractions import Fraction
 
 import pytest
 
+from alarm_budget import budget
 from kminusone.errors import ExtensionUnsupported
 from kminusone.exact import UniPoly
 from kminusone.fields import (
@@ -94,18 +94,10 @@ class TestIrreducibleFactors:
         # a constant of 10^30 (rational root test) or a value p(1) above
         # 4*10^12 (Kronecker) is refused at once; trial division of 10^30
         # would count to 10^15.  SIGALRM fails the test instead of hanging.
-        def out_of_time(signum, frame):
-            raise AssertionError("trial division ran past its 2 s budget")
-
-        previous = signal.signal(signal.SIGALRM, out_of_time)
-        signal.setitimer(signal.ITIMER_REAL, 2.0)
-        try:
+        with budget(2.0, AssertionError, "trial division ran past its 2 s budget"):
             for p in (U(10**30, 0, 0, 1), U(1, 0, 4 * 10**12, 0, 1)):
                 with pytest.raises(ExtensionUnsupported, match="--factors"):
                     irreducible_factors(p)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert len(_divisors(4 * 10**12)) == 15 * 13  # 2^14 * 5^12, the largest allowed
         with pytest.raises(ExtensionUnsupported):
             _divisors(4 * 10**12 + 1)

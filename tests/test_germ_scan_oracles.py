@@ -9,7 +9,6 @@ ExtensionUnsupported until that limit goes.  Nothing under ``bench/`` is
 changed; it is only imported.
 """
 
-import signal
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import run  # noqa: E402
 import workloads  # noqa: E402
 
+from alarm_budget import budget  # noqa: E402
 from kminusone import cli, germs, parsing  # noqa: E402
 from kminusone.errors import KMinusOneError  # noqa: E402
 from test_parsing import _corpus_texts  # noqa: E402
@@ -34,12 +34,9 @@ def judged(op):
     """(status, detail, exception name) of one operation, as a benchmark
     run judges it."""
     report = error = None
-    signal.setitimer(signal.ITIMER_REAL, run.OP_TIMEOUT_S)
     try:
-        try:
+        with budget(run.OP_TIMEOUT_S, run.OpTimeout):
             report = run.germ_report(KM, op)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
     except run.OpTimeout:
         error = "timeout"
     except Exception as exc:  # judged below, as the benchmark does
@@ -47,15 +44,8 @@ def judged(op):
     return (*run.judge(op["expect"], report, error), error)
 
 
-@pytest.fixture
-def alarm():
-    previous = signal.signal(signal.SIGALRM, run._on_alarm)
-    yield
-    signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_every_germ_scan_operation_meets_its_oracle(seed, alarm):
+def test_every_germ_scan_operation_meets_its_oracle(seed):
     ops = workloads.generate("germ-scan", seed)
     unsupported = 0
     for op in ops:
@@ -81,7 +71,7 @@ def _report(g):
     return rep.order, rep.branch_count
 
 
-def test_unit_multiples_answer_as_the_germ_does(alarm):
+def test_unit_multiples_answer_as_the_germ_does():
     # a nonzero constant is a unit of the local ring: for c = 2, -3/7 and
     # 10^12, c*g has the br_0, order and isolatedness of g, or raises the
     # same error class, over every germ text of the golden corpus and of
@@ -97,13 +87,10 @@ def test_unit_multiples_answer_as_the_germ_does(alarm):
         except KMinusOneError:
             pass  # not a germ text
     assert len(germ_list) > 200
-    signal.setitimer(signal.ITIMER_REAL, 3.0)  # run.OpTimeout past 3 s
-    try:
+    with budget(3.0, run.OpTimeout):
         for g in germ_list:
             isolated, report = _answer(germs.is_isolated, g), _answer(_report, g)
             for c in (2, Fraction(-3, 7), 10 ** 12):
                 h = g.scale(c)
                 assert _answer(germs.is_isolated, h) == isolated, (c, g.terms)
                 assert _answer(_report, h) == report, (c, g.terms)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)

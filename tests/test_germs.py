@@ -8,12 +8,12 @@ The independent oracles used here:
 """
 
 import random
-import signal
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from alarm_budget import budget
 from kminusone import germs
 from kminusone.errors import ExtensionUnsupported, InputError, NotIsolated
 from kminusone.exact import BiPoly, UniPoly
@@ -463,23 +463,16 @@ class TestDeepShift:
         def no_gcd(f, g):  # reduced germs are certified without it
             raise AssertionError("bipoly_gcd ran on a reduced germ")
 
-        def out_of_time(signum, frame):
-            raise AssertionError(f"the shift family overran its {self.BUDGET_S} s budget")
-
         confirmed = []
         real = germs._reduced_at_origin.__wrapped__
         monkeypatch.setattr(germs, "bipoly_gcd", no_gcd)
         monkeypatch.setattr(germs, "_reduced_at_origin",
                             lambda g: confirmed.append(g) or real(g))
-        previous = signal.signal(signal.SIGALRM, out_of_time)
-        signal.setitimer(signal.ITIMER_REAL, self.BUDGET_S)
-        try:
+        with budget(self.BUDGET_S, AssertionError,
+                    f"the shift family overran its {self.BUDGET_S} s budget"):
             for g, branches in shift_family():
                 germs._LAST_GERM.clear()
                 assert branch_count(g).branch_count == branches, g
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         # the whole-root step takes each germ whose edge has a multiple root
         # onto its binomial form at depth 0 ((w - z)^2 - z^2 has none), so
         # none reaches the depth where reducedness is proved

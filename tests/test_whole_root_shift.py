@@ -9,16 +9,16 @@ and 300 seeded coordinate changes w -> w + c*z^k and z -> z + c*w^k of
 binomial products, each of which must also match its unsheared original
 (br_0 and the order are invariant under such a change).  Inputs too slow
 to compare both ways are compared with their unsheared form alone, or pinned
-as slow, not skipped.  Each test runs under one SIGALRM budget.
+as slow, not skipped.  Each test runs under one SIGALRM budget (alarm_budget).
 """
 
 import random
 import re
-import signal
 from pathlib import Path
 
 import pytest
 
+from alarm_budget import budget
 from kminusone import germs
 from kminusone.errors import KMinusOneError
 from kminusone.localsing import ade_germ, ade_labels
@@ -142,62 +142,49 @@ class Overrun(BaseException):
     """Raised by SIGALRM; a BaseException so no handler can swallow it."""
 
 
-@pytest.fixture
-def alarm():
-    """Arms SIGALRM for the given seconds; disarmed after the test."""
-    def on_alarm(signum, frame):
-        raise Overrun()
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
-    signal.setitimer(signal.ITIMER_REAL, 0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def test_same_outcome_on_workload_corpus_and_demo_germs(monkeypatch, alarm):
-    alarm(1.5)
-    fired = record_steps(monkeypatch)
-    cases = corpus_germs() + demo_germs()
-    slow = {poly(text): branches for text, branches in SLOW_WITHOUT_STEP.items()}
-    assert len(cases) > 700 and set(slow) <= set(cases)
-    for g in cases:
-        if g in slow:
-            assert outcome(g).branch_count == slow[g], g
-            continue
-        with_step, without = both_ways(g, monkeypatch)
-        assert with_step == without, g
+def test_same_outcome_on_workload_corpus_and_demo_germs(monkeypatch):
+    with budget(1.5, Overrun):
+        fired = record_steps(monkeypatch)
+        cases = corpus_germs() + demo_germs()
+        slow = {poly(text): branches for text, branches in SLOW_WITHOUT_STEP.items()}
+        assert len(cases) > 700 and set(slow) <= set(cases)
+        for g in cases:
+            if g in slow:
+                assert outcome(g).branch_count == slow[g], g
+                continue
+            with_step, without = both_ways(g, monkeypatch)
+            assert with_step == without, g
     assert len(fired) >= 10
 
 
-def test_same_outcome_on_sheared_binomial_products(monkeypatch, alarm):
-    alarm(1.0)
-    fired, pinned = record_steps(monkeypatch), []
-    for factors, shear in sheared_products():
-        if (factors, shear) in KNOWN_SLOW:
-            pinned.append((factors, shear))  # compared to the unsheared form below
-            continue
-        g = poly(product_text(factors, shear))
-        with_step, without = both_ways(g, monkeypatch)
-        assert with_step == without, product_text(factors, shear)
-        assert with_step == outcome(poly(product_text(factors))), product_text(factors, shear)
+def test_same_outcome_on_sheared_binomial_products(monkeypatch):
+    with budget(1.0, Overrun):
+        fired, pinned = record_steps(monkeypatch), []
+        for factors, shear in sheared_products():
+            if (factors, shear) in KNOWN_SLOW:
+                pinned.append((factors, shear))  # compared to the unsheared form below
+                continue
+            g = poly(product_text(factors, shear))
+            with_step, without = both_ways(g, monkeypatch)
+            assert with_step == without, product_text(factors, shear)
+            assert with_step == outcome(poly(product_text(factors))), product_text(factors, shear)
     assert pinned == KNOWN_SLOW[4:] and len(fired) >= 10
 
 
 @pytest.mark.parametrize("factors, shear", KNOWN_SLOW,
                          ids=lambda x: "".join(map(str, x)).replace(" ", ""))
-def test_known_slow_inputs_stay_pinned(factors, shear, alarm):
+def test_known_slow_inputs_stay_pinned(factors, shear):
     # pinned to the outcome of the unsheared form, within KNOWN_SLOW_ALARM_S
-    alarm(KNOWN_SLOW_ALARM_S)
-    unsheared = outcome(poly(product_text(factors)))
-    assert unsheared[0] == "NotIsolated"
-    assert outcome(poly(product_text(factors, shear))) == unsheared
+    with budget(KNOWN_SLOW_ALARM_S, Overrun):
+        unsheared = outcome(poly(product_text(factors)))
+        assert unsheared[0] == "NotIsolated"
+        assert outcome(poly(product_text(factors, shear))) == unsheared
 
 
 @pytest.mark.parametrize("text", SLOW_WITHOUT_STEP)
-def test_slow_without_the_step_stays_pinned(text, monkeypatch, alarm):
+def test_slow_without_the_step_stays_pinned(text, monkeypatch):
     monkeypatch.setattr(germs, "_whole_root_shift", lambda terms, edges: None)
     g = poly(text)
-    alarm(PIN_ALARM_S)
-    with pytest.raises(Overrun):
+    with pytest.raises(Overrun), budget(PIN_ALARM_S, Overrun):
         outcome(g)
         raise AssertionError(f"{text} finished without the step: compare it both ways")
