@@ -23,6 +23,7 @@ any exact bivariate gcd runs.  A rational polynomial it cannot certify goes
 through Yun's algorithm over Z[t] (Yun 1976): the primitive integer multiple,
 gcds by the primitive pseudo-remainder sequence (int_gcd), exact quotients by
 primitive divisors, and one division by each factor's leading coefficient.
+The exact bivariate gcd runs on integers through the same sequence over Z[w].
 """
 
 from __future__ import annotations
@@ -145,20 +146,21 @@ class UniPoly:
         return power(self, n, _one_like(self, self))
 
     def divmod(self, other: "UniPoly"):
-        """Exact field division with remainder."""
+        """Exact field division with remainder; a monic divisor divides nothing."""
         if other.is_zero():
             raise InputError("division by the zero polynomial")
         if self.degree < other.degree:
             return UniPoly(), self
         rem = list(self.coeffs)
         lead = other.leading
+        monic = lead == 1
         dq = self.degree - other.degree
         quot = [self.coeffs[0] * 0] * (dq + 1)
         for k in range(dq, -1, -1):
             c = rem[other.degree + k]
             if not c:
                 continue
-            q = quotient(c, lead)
+            q = c if monic else quotient(c, lead)
             quot[k] = q
             for i, b in enumerate(other.coeffs):
                 rem[i + k] = rem[i + k] - q * b
@@ -171,7 +173,7 @@ class UniPoly:
         return self.divmod(other)[1]
 
     def monic(self) -> "UniPoly":
-        if self.is_zero():
+        if self.is_zero() or self.leading == 1:
             return self
         lead = self.leading
         return UniPoly(tuple(quotient(c, lead) for c in self.coeffs))
@@ -247,53 +249,65 @@ def _one_like(a: UniPoly, b: UniPoly) -> UniPoly:
 _PRIME = 2 ** 61 - 1
 
 
-def _cleared(p: UniPoly) -> list:
-    """The coefficients of D * p, D the lcm of the denominators of rational p."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+def _cleared(coeffs) -> list:
+    """D times the rational coeffs, D the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def to_integer_poly(p: UniPoly) -> list:
     """The primitive integer multiple of a rational polynomial, as its
     coefficient list low degree first: denominators cleared, content
     divided out, the sign of the leading coefficient kept."""
-    ints = _cleared(p)
+    ints = _cleared(p.coeffs)
     content = gcd(*ints)
     return [c // content for c in ints]
 
 
 def _mod_prime(p: UniPoly) -> list:
     """D * p modulo _PRIME (see _cleared), without leading zeros."""
-    out = [c % _PRIME for c in _cleared(p)]
+    out = [c % _PRIME for c in _cleared(p.coeffs)]
     while out and not out[-1]:
         out.pop()
     return out
 
 
-def int_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """A gcd in Z[t] of integer polynomials, not both zero, primitive, by the
-    primitive pseudo-remainder sequence: each remainder is lc(b)/h * a -
-    lc(a)/h * t^k * b for h = gcd(lc(a), lc(b)), a nonzero integer multiple
-    of the Euclidean one, and is replaced by its primitive part (Gauss's
-    lemma: the primitive gcd divides every remainder)."""
-    a, b = list(a.coeffs), list(b.coeffs)
+def primitive_prs(a: list, b: list, content) -> list:
+    """A primitive gcd of two polynomials (zero when both are) over a gcd domain
+    with n-ary gcd content and exact division //, as coefficient lists low
+    degree first, by the primitive pseudo-remainder sequence: each remainder
+    lc(b)/h * a - lc(a)/h * t^k * b, h = content(lc(a), lc(b)), is replaced by
+    its primitive part (Gauss's lemma: the primitive gcd divides every
+    remainder; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6)."""
     if len(a) < len(b):
         a, b = b, a
     while b:
         lb, db = b[-1], len(b) - 1
         while len(a) > db:
             la = a.pop()
-            h = gcd(la, lb)
+            h = content(la, lb)
             la, scale, shift = la // h, lb // h, len(a) - db
             a = [c * scale for c in a]
             for i, c in enumerate(b[:-1]):
                 a[shift + i] -= la * c
             while a and not a[-1]:
                 a.pop()
-        content = gcd(*a)
-        a, b = b, [c // content for c in a]
-    content = gcd(*a)
-    return UniPoly([c // content for c in a])
+        cont = content(*a)
+        a, b = b, [x // cont for x in a]
+    cont = content(*a)
+    return [x // cont for x in a]
+
+
+def int_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """A primitive gcd in Z[t] of integer polynomials, zero when both are:
+    the primitive PRS over Z, with contents by math.gcd."""
+    return UniPoly(primitive_prs(list(a.coeffs), list(b.coeffs), gcd))
+
+
+def _int_poly_gcd(*ps: UniPoly) -> UniPoly:
+    """The gcd in Z[t] of integer polynomials, zero when all are: int_gcd of
+    them times the gcd of their integer contents."""
+    return reduce(int_gcd, ps, UniPoly()).scale(gcd(*(gcd(*p.coeffs) for p in ps)))
 
 
 def coprime_mod_prime(f: UniPoly, g: UniPoly) -> bool:
@@ -359,14 +373,14 @@ def squarefree_decomposition(p: UniPoly):
     dp = p.derivative()
     g = poly_gcd(p, dp)
     if g.degree <= 0:
-        return [(p.monic() if rational else p, 1)]
+        return [(p.monic(), 1)]
     c = p // g
     d = dp // g - c.derivative()
     out, k = [], 1
     while c.degree > 0:
         a = poly_gcd(c, d)
         if a.degree > 0:
-            out.append((a.monic() if rational else a, k))
+            out.append((a.monic(), k))
         c_next = c // a
         d = d // a - c_next.derivative()
         c, k = c_next, k + 1
@@ -520,36 +534,8 @@ class BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# bivariate gcd over Q (primitive PRS)
+# bivariate gcd over Q (primitive PRS over Z[w])
 # ---------------------------------------------------------------------------
-
-def _zp_content(zp) -> UniPoly:
-    return reduce(uni_gcd, zp, UniPoly())
-
-
-def _zp_primitive(zp):
-    c = _zp_content(zp)
-    if c.degree <= 0:
-        # contents are monic, so a constant content is 1
-        return list(zp)
-    return [u // c for u in zp]
-
-
-def _zp_prem(a, b):
-    """Pseudo-remainder of a by b in (Q[w])[z]; b nonzero."""
-    a = list(a)
-    db = len(b) - 1
-    lcb = b[-1]
-    while a and len(a) - 1 >= db:
-        lca = a[-1]
-        d = len(a) - 1 - db
-        a = [c * lcb for c in a]
-        for i, bc in enumerate(b):
-            a[d + i] = a[d + i] - bc * lca
-        while a and a[-1].is_zero():
-            a.pop()
-    return a
-
 
 def _swapped(g: BiPoly) -> BiPoly:
     return BiPoly._of({(b, a): c for (a, b), c in g.terms.items()})
@@ -557,21 +543,20 @@ def _swapped(g: BiPoly) -> BiPoly:
 
 def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     """gcd in Q[z, w], normalized so the leading w-coefficient of the
-    leading z-coefficient is 1.  The primitive PRS eliminates the variable
-    in which f has the lower degree: in (Q[w])[z], or with z and w swapped,
-    where Fraction coefficients swell far less on high z-degree."""
+    leading z-coefficient is 1.  Denominators are cleared once; the gcd is
+    the gcd in Z[w] of the contents times that of the primitive parts, by
+    int_gcd's primitive PRS over Z[w].  It eliminates the variable in which
+    f has the lower degree: in (Z[w])[z], or with z and w swapped, where
+    the coefficients swell far less on high z-degree."""
     swap = f.degree_z() > max((b for _, b in f.terms), default=-1)
     if swap:
         f, g = _swapped(f), _swapped(g)
-    zf, zg = f.columns(), g.columns()
-    content = uni_gcd(_zp_content(zf), _zp_content(zg))
-    a, b = _zp_primitive(zf), _zp_primitive(zg)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _zp_prem(a, b)
-        a, b = b, _zp_primitive(r) if r else []
-    h = BiPoly._of({(i, j): c for i, u in enumerate(_zp_primitive(a))
+    zf, zg = (BiPoly._of(dict(zip(p.terms, _cleared(p.terms.values())))).columns()
+              for p in (f, g))
+    cf, cg = _int_poly_gcd(*zf), _int_poly_gcd(*zg)
+    a = primitive_prs([u // cf for u in zf], [u // cg for u in zg], _int_poly_gcd)
+    content = _int_poly_gcd(cf, cg)
+    h = BiPoly._of({(i, j): c for i, u in enumerate(a)
                     for j, c in enumerate((u * content).coeffs) if c})
     h = _swapped(h) if swap else h
     return h.scale(Fraction(1) / h.columns()[-1].leading) if h else h

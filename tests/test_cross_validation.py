@@ -9,6 +9,7 @@ the specialisation certificate that stands in front of the bivariate gcd.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd as igcd
 
@@ -113,27 +114,50 @@ def test_nonsingular_torsion_heavy_matrices_match_sympy():
         assert cokernel(ours) == FinAbGroup(0, tuple(x for x in theirs if x > 1))
 
 
+def rand_rational_bipoly(rng, nterms, deg_z, deg_w):
+    """Up to nterms terms z^a w^b, a <= deg_z and b <= deg_w, with
+    coefficients n/d, n in -4..4 and d in 1..7 (2..7 for half of them)."""
+    t = {}
+    for _ in range(nterms):
+        den = rng.choice((1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6, 7))
+        t[(rng.randint(0, deg_z), rng.randint(0, deg_w))] = Fraction(rng.randint(-4, 4), den)
+    return BiPoly(t)
+
+
 def test_bivariate_gcd_matches_sympy():
-    # the PRS runs in z or, when g1 has the higher degree in z, in w; either
-    # way the gcd is normalized in the orientation of the input
+    # the PRS runs over Z[w] in z or, when g1 has the higher degree in z, in
+    # w; either way the gcd is normalized in the orientation of the input.
+    # The planted common factor is bivariate, in Q[z] only or in Q[w] only:
+    # the last two are a content over Z[w] or Z[z] in one orientation and
+    # meet the PRS in the other.  Coefficients have denominators 2-7,
+    # leading coefficients either sign, and one argument in ten is zero.
     rng = random.Random(4242)
-    checked = swapped = 0
-    while checked < 60:
-        mult = rand_bipoly(rng, rng.randint(1, 3), 2)
-        g1 = rand_bipoly(rng, rng.randint(1, 4), 3) * mult
-        g2 = rand_bipoly(rng, rng.randint(1, 4), 3) * mult
+    seen, dens, negative, zero = Counter(), set(), 0, 0
+    while sum(seen.values()) < 120:
+        kind = ("zw", "z", "w")[sum(seen.values()) % 3]
+        mult = BiPoly.zero()
+        while mult.total_degree() < 1:
+            mult = rand_rational_bipoly(rng, rng.randint(1, 3), 2 * ("z" in kind), 2 * ("w" in kind))
+        shape = rng.choice(((3, 3), (5, 1), (1, 5)))  # cofactor degrees in z and w
+        g1 = rand_rational_bipoly(rng, rng.randint(1, 4), *shape) * mult
+        g2 = rand_rational_bipoly(rng, rng.randint(1, 4), 3, 3) * mult
         if g1.is_zero() or g2.is_zero():
             continue
+        if sum(seen.values()) % 10 == 9:
+            g1, g2 = (BiPoly.zero(), g2) if zero % 2 else (g1, BiPoly.zero())
+            zero += 1
         d = bipoly_gcd(g1, g2)
         assert d.columns()[-1].leading == 1
-        swapped += g1.degree_z() > max(b for _, b in g1.terms)
+        seen[kind, g1.degree_z() > max((b for _, b in g1.terms), default=-1)] += 1
+        dens |= {c.denominator for g in (g1, g2) for c in g.terms.values()}
+        negative += any(g and g.columns()[-1].leading < 0 for g in (g1, g2))
         ours = Poly(to_sympy(d), Z, W)
         theirs = Poly(sympy.gcd(to_sympy(g1), to_sympy(g2), Z, W), Z, W)
         assert ours.total_degree() == theirs.total_degree()
         diff = ours.as_expr() * theirs.LC() - theirs.as_expr() * ours.LC()
         assert sympy.simplify(diff) == 0
-        checked += 1
-    assert 10 < swapped < 50
+    assert all(seen[kind, swapped] >= 5 for kind in ("zw", "z", "w") for swapped in (False, True))
+    assert set(range(2, 8)) <= dens and negative >= 30 and zero == 12
 
 
 def test_squarefree_matches_sympy_factorization():

@@ -19,7 +19,7 @@ import kminusone
 from kminusone import cli, germs, parsing
 from kminusone.errors import KMinusOneError
 from kminusone.exact import UniPoly, quotient, squarefree_decomposition, uni_ext_gcd, uni_gcd
-from kminusone.fields import NFElem
+from kminusone.fields import NFElem, NumberField
 from test_cli_golden import CASES, run_case
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,6 +93,29 @@ def test_univariate_routines_on_int_inputs(checked):
         assert squarefree_decomposition(sq) == [(sq, 1)]
     yun = ints(2, -3, 0, 1)  # (t - 1)^2 (t + 2): Yun's algorithm
     assert squarefree_decomposition(yun) == [(ints(2, 1), 1), (ints(-1, 1), 2)]
+
+
+def test_monic_divisors_divide_nothing(monkeypatch):
+    # a leading coefficient 1 divides nothing: UniPoly.monic and divmod by a
+    # monic divisor leave int coefficients ints and never invert the 1 of
+    # Q(alpha), so one branch count of the clustered product below inverts
+    # 6 field elements, none of them 1 (9, three of them 1, when both divided)
+    inverted, inverse = [], NFElem.inverse
+    monkeypatch.setattr(NFElem, "inverse", lambda x: inverted.append(x) or inverse(x))
+    p = ints(-6, 11, -6, 1)
+    assert p.monic() is p
+    q, r = p.divmod(ints(-2, 1))
+    assert q == ints(3, -4, 1) and not r and all(type(c) is int for c in q.coeffs)
+    k = NumberField(ints(-3, 0, 1))
+    root, one = k.generator, k.one
+    p = UniPoly((root * 3, -root - 3, one))  # (t - root)(t - 3)
+    assert p.monic() is p and p.divmod(UniPoly((-root, one))) == (UniPoly((-3, one)), UniPoly())
+    assert not inverted
+    germs._LAST_GERM.clear()
+    germs._reduced_at_origin.cache_clear()
+    g = parsing.parse_polynomial("(z^2 - 3*w^2 + w^3)*(z^2 - 3*w^2 + 2*w^3)")
+    assert germs.branch_count(g) == germs.BranchReport(4, 4)
+    assert len(inverted) == 6 and all(x != 1 for x in inverted)
 
 
 def test_recursion_germ_on_int_inputs(checked):

@@ -1,5 +1,6 @@
 """The runtime imports nothing outside the standard library, and the CLI
-nothing it does not need at start-up."""
+nothing it does not need at start-up; in the tests, only alarm_budget arms
+SIGALRM."""
 
 import ast
 import subprocess
@@ -7,6 +8,9 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kminusone"
+TESTS = Path(__file__).resolve().parent
+# what arms SIGALRM: a timer, an alarm, or a handler installed for the signal
+ARMING = {"setitimer", "alarm", "SIGALRM"}
 
 
 def _absolute_imports(path: Path):
@@ -44,3 +48,26 @@ def test_cli_import_generates_no_dataclasses():
     # records.record replaces @dataclass, which generates several methods per
     # class at import and loads inspect; annotations are strings, not typing
     assert _loaded_by_cli_import("dataclasses", "inspect", "typing") == "\n"
+
+
+def _sigalrm_uses(path: Path):
+    """Lines that use ARMING, from the signal module or one bound to it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "signal"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "signal":
+            if any(alias.name in ARMING | {"*"} for alias in node.names):
+                yield node.lineno
+        elif (isinstance(node, ast.Attribute) and node.attr in ARMING
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            yield node.lineno
+
+
+def test_only_alarm_budget_arms_sigalrm():
+    # every SIGALRM budget in the tests is alarm_budget.budget, whose timer
+    # repeats until its block ends: a one-shot timer armed elsewhere loses
+    # its alarm to a finalizer or gc callback that swallows the exception
+    armed = {path.name: lines for path in sorted(TESTS.rglob("*.py"))
+             if (lines := list(_sigalrm_uses(path)))}
+    assert set(armed) == {"alarm_budget.py"}, armed
