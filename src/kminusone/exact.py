@@ -6,8 +6,9 @@ no floating point anywhere.  All values are immutable after construction
 and all operations are pure functions.
 
 Rank, determinant, invariant factors and cokernels build no transforms:
-a fraction-free Bareiss pass gives the rank r and a nonzero r x r minor
-D, and gcd-based elimination over Z/RZ gives the invariant factors as
+a fraction-free Bareiss pass, two columns a step wherever the 2 x 2 pivot
+block is nonsingular (Bareiss 1968), gives the rank r and a nonzero r x r
+minor D, and gcd-based elimination over Z/RZ gives the invariant factors as
 gcd(pivot, R) (Domich, Kannan and Trotter 1987; Cohen, A Course in
 Computational Algebraic Number Theory, Alg. 2.4.14), where R is D or, for a
 large square nonsingular matrix, the certified-exponent modulus (Abbott,
@@ -641,20 +642,39 @@ class IntMatrix:
 def _bareiss(m: IntMatrix, extra=()):
     """(rank r, a nonzero r x r minor, the echelon rows) by fraction-free
     Bareiss elimination, row i carrying extra[i] along unpivoted; for a
-    square matrix of full rank the minor is the determinant."""
-    a, prev, sign, r = m.to_rows(), 1, 1, 0
+    square matrix of full rank the minor is the determinant.
+
+    A nonzero pivot a[r][c] is swapped in from below, or column c skipped.
+    With prev the last pivot (1 at first) and c0 = (a[r][c] a[r+1][c+1] -
+    a[r][c+1] a[r+1][c]) / prev nonzero, each row i > r + 1 becomes
+    (c0 a[i][j] + c1 a[r][j] + c2 a[r+1][j]) / prev with c1 = (a[r+1][c]
+    a[i][c+1] - a[r+1][c+1] a[i][c]) / prev, c2 = (a[r][c+1] a[i][c] - a[r][c]
+    a[i][c+1]) / prev, then row r+1 takes one step and c0 is the next prev
+    (Bareiss's two-step, Math. Comp. 22, 1968); at c0 = 0 or the last row or
+    column one step runs.  By Sylvester's identity every quotient is a minor
+    of M (a k x k determinant of entries is prev^(k-1) times one): exact."""
+    a, prev, sign, r, c = m.to_rows(), 1, 1, 0, 0
     a = [row + e for row, e in zip(a, extra)] if extra else a
-    for c in range(m.cols):
+    while r < m.rows and c < m.cols:
         p = next((i for i in range(r, m.rows) if a[i][c]), None)
         if p is None:
+            c += 1
             continue
         a[r], a[p], sign = a[p], a[r], sign if p == r else -sign
-        piv, prow = a[r][c], a[r]
-        for row in a[r + 1:]:
+        piv, prow, below = a[r][c], a[r], a[r + 1:]
+        (x, y), z = (below[0][c:c + 2], prow[c + 1]) if below and c + 1 < m.cols else ((0, 0), 0)
+        c0 = (piv * y - z * x) // prev
+        if c0:
+            for row in below[1:]:
+                s, t = row[c], row[c + 1]
+                c1, c2 = (x * t - y * s) // prev, (z * s - piv * t) // prev
+                row[c + 2:] = [(c0 * v + c1 * u + c2 * w) // prev
+                               for u, w, v in zip(prow[c + 2:], below[0][c + 2:], row[c + 2:])]
+            below = below[:1]
+        for row in below:
             x = row[c]
-            row[c + 1:] = [(v * piv - x * u) // prev
-                           for u, v in zip(prow[c + 1:], row[c + 1:])]
-        prev, r = piv, r + 1
+            row[c + 1:] = [(v * piv - x * u) // prev for u, v in zip(prow[c + 1:], row[c + 1:])]
+        prev, r, c = (c0, r + 2, c + 2) if c0 else (piv, r + 1, c + 1)
     return r, sign * prev, a
 
 

@@ -11,7 +11,7 @@ the specialisation certificate that stands in front of the bivariate gcd.
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd as igcd
+from math import gcd as igcd, prod
 
 import pytest
 
@@ -81,6 +81,36 @@ def test_transform_free_invariant_factors_match_sympy():
         theirs = tuple(abs(sm[j, j]) for j in range(min(r, c)) if sm[j, j] != 0)
         assert invariant_factors(m) == theirs
         assert m.rank() == Matrix(r, c, entries).rank()
+    # the elimination takes two columns a step while the 2 x 2 pivot block is
+    # nonsingular.  Row k agrees with a combination of the rows above it on
+    # columns 0..k, so the leading (k+1)-minor vanishes after k // 2 double
+    # steps: at even k the pivot a[k][k] is 0 and a row below is swapped in,
+    # at odd k the block at k - 1 is singular, so one step runs and row k is
+    # swapped.  Double steps then resume, on rows of odd or even length.
+    for _ in range(40):
+        n = rng.randint(5, 9)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        k = rng.randint(2, n - 3)
+        coef = [rng.randint(-2, 2) for _ in range(k)]
+        rows[k][:k + 1] = [sum(x * rows[t][j] for t, x in enumerate(coef)) for j in range(k + 1)]
+        m = IntMatrix.from_rows(rows)
+        assert m.det() == Matrix(rows).det()
+        sm = sympy_snf(Matrix(rows), domain=ZZ)
+        assert invariant_factors(m) == tuple(abs(sm[j, j]) for j in range(n) if sm[j, j] != 0)
+    # wide and tall products of odd and even rank k whose column col repeats
+    # column col - 1 twice over, so the pass skips a column between pivots
+    for i in range(40):
+        k = 1 + i % 5
+        r, c = (k + rng.randint(0, 3), k + 2) if i % 2 else (k + 1, k + rng.randint(2, 5))
+        left = Matrix(r, k, [rng.randint(-3, 3) for _ in range(r * k)])
+        right = Matrix(k, c, [rng.randint(-3, 3) for _ in range(k * c)])
+        col = rng.randint(1, c - 1)
+        right[:, col] = 2 * right[:, col - 1]
+        entries = [int(x) for x in left * right]
+        m = IntMatrix(r, c, tuple(entries))
+        sm = sympy_snf(Matrix(r, c, entries), domain=ZZ)
+        assert invariant_factors(m) == tuple(abs(sm[j, j]) for j in range(min(r, c)) if sm[j, j] != 0)
+        assert m.rank() == Matrix(r, c, entries).rank()
 
 
 def test_nonsingular_torsion_heavy_matrices_match_sympy():
@@ -112,6 +142,20 @@ def test_nonsingular_torsion_heavy_matrices_match_sympy():
         ours = IntMatrix(n, n, tuple(entries))
         assert invariant_factors(ours) == theirs
         assert cokernel(ours) == FinAbGroup(0, tuple(x for x in theirs if x > 1))
+    # sizes 13-20, odd and even, past the Hadamard bound 2^128 at which the
+    # elimination carries probe columns; the constructed chain is the oracle
+    for n in range(13, 21):
+        chain, d = [], 1
+        for _ in range(n):
+            d *= rng.choice((1, 1, 1, 2, 3))
+            chain.append(d)
+        m = (unitriangular(n, True) * unitriangular(n, False) * Matrix.diag(*chain)
+             * unitriangular(n, False) * unitriangular(n, True))
+        rows = [[int(x) for x in m.row(i)] for i in range(n)]
+        assert prod(sum(x * x for x in row) for row in rows) >> 128
+        ours = IntMatrix.from_rows(rows)
+        assert invariant_factors(ours) == tuple(chain)
+        assert abs(ours.det()) == prod(chain)
 
 
 def rand_rational_bipoly(rng, nterms, deg_z, deg_w):
