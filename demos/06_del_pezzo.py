@@ -3,29 +3,30 @@
 For 1 <= d <= 5 the variety is the half-anticanonical contraction of the
 blow-up of mu = 8 - d general points of P^3: one node per contracted
 line through a point pair and per twisted cubic through a six-tuple.
-The small-resolution bookkeeping r - mu + rho_X - rho_Y recovers the
-K_-1 rank; nothing in the numeric columns is hard-coded.
+del_pezzo_spec carries the restriction matrix of that blow-up, the
+degrees of H, E_1 .. E_(mu-1) on each contracted curve, and K_-1 is its
+cokernel; nothing in the numeric columns is hard-coded.
 """
 
-from math import comb
-
-from kminusone import del_pezzo_node_count, del_pezzo_spec, del_pezzo_table, \
-    small_resolution_rank, decide
+from kminusone import del_pezzo_spec, decide, threefold_invariants
+from kminusone.cli import render_delpezzo_table
 
 print("d | mu | lines + cubics = nodes | rk K_-1")
 for d in range(1, 6):
     mu = 8 - d
-    r = del_pezzo_node_count(mu)
-    res = small_resolution_rank(r, mu, 1, 1)
-    print(f"{d} | {mu}  | {comb(mu, 2):2d} + {comb(mu, 6)} = {r:2d}"
-          f"            | {res.rank_k_minus_one}")
+    spec = del_pezzo_spec(d)
+    degrees = [row[0] for row in spec.restriction_matrix.to_rows()]  # H.C
+    r = len(spec.singularities)
+    rank = threefold_invariants(spec).k_minus_one.free_rank
+    print(f"{d} | {mu}  | {degrees.count(1):2d} + {degrees.count(3)} = {r:2d}"
+          f"            | {rank}")
 
 print()
 print("The summary table (degree 6 is the stored P^2 x P^2-section row):")
 print(" d | #sing | rk Pic | rk Cl | rk K_-1 | verdict")
-for row in del_pezzo_table():
-    print(f" {row.d} | {row.singular_points:5d} | {row.pic_rank:6d} | "
-          f"{row.cl_rank:5d} | {row.k_rank:7d} | {row.verdict}")
+for row in render_delpezzo_table().data:
+    print(f" {row['d']} | {row['singular_points']:5d} | {row['pic_rank']:6d} | "
+          f"{row['cl_rank']:5d} | {row['k_rank']:7d} | {row['verdict']}")
 
 print()
 print("Degrees 1..4 are obstructed outright; degree 5 has rk K_-1 = 0 but")

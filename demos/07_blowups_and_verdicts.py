@@ -8,15 +8,16 @@ irreducible center already obstructs.
 """
 
 from kminusone import BlowupPipeline, BlowupStep, DualGraph, \
-    blowup_curve_verdict, blowup_singularities, decide, node_germ, \
-    kawamata_p2p2_spec, nodal_quadric_spec, parse_polynomial
+    blowup_curve_verdict, classify_cAn, decide, kawamata_p2p2_spec, \
+    nodal_quadric_spec, parse_polynomial
 
 print("Center = two disjoint A2 chains (4 lines, 2 nodes):")
 forest = DualGraph(4, ((0, 1), (2, 3)))
 v = blowup_curve_verdict(forest)
 print(f"  verdict: {v.decision.value}, certificate "
       f"{v.certificate.kind.value}")
-sings = blowup_singularities([node_germ(), node_germ()])
+node = parse_polynomial("z*w")
+sings = BlowupStep(forest, (node,) * forest.edge_count).singularities()
 print(f"  the blow-up acquires {len(sings)} ordinary double points")
 
 print()
@@ -28,7 +29,7 @@ print(f"  verdict: {v.decision.value}, obstruction K_-1 = {v.obstruction}")
 print()
 print("A cuspidal center contributes no class-group rank (br = 1); the")
 print("blow-up of a cuspidal curve acquires a cA_1 point xy + z^2 + w^3:")
-(sing,) = blowup_singularities([parse_polynomial("z^2 + w^3")])
+sing = classify_cAn(parse_polynomial("z^2 + w^3"))
 print(f"  cA_{sing.n}, br = {sing.br}, local Cl rank = {sing.cl_rank}")
 
 print()

@@ -16,8 +16,10 @@ least 9 of 10 pairs, and a median gap larger than the base's interquartile
 range.  Then, for each input family, the median over the runs of the
 family's median latency on both sides, and its relative change, which shows
 where a gain lands.  Failed shares and the oracle's `correct` flag are
-listed per run.  With --out, every run (seed, result line, family medians),
-the per-metric summaries and the machine are written to a JSON file.
+listed per run.  The line count of src/kminusone/*.py in each tree, the
+size that ROADMAP.md tracks, is printed first.  With --out, every run (seed,
+result line, family medians), the per-metric summaries, both line counts and
+the machine are written to a JSON file.
 Standard library only; run it from the root of a checkout.
 """
 
@@ -51,6 +53,11 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     lines = proc.stdout.strip().splitlines()
     families = {m[1]: float(m[2]) for m in map(FAMILY.match, lines) if m}
     return {"seed": seed, "result": json.loads(lines[-1]), "family_median_ms": families}
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of src/kminusone/*.py in tree, counted as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "kminusone").glob("*.py"))
 
 
 def quartiles(values: list) -> tuple:
@@ -175,13 +182,18 @@ def main(argv=None) -> int:
         if archive.wait():
             sys.exit(f"git archive {base_commit} exited {archive.returncode}")
         print(f"base {args.base} ({base_commit[:12]}) against the checkout {ROOT}", flush=True)
+        lines = {"base": src_lines(base_tree), "change": src_lines(ROOT)}
+        print(f"src/kminusone/*.py: base {lines['base']} lines, change {lines['change']} "
+              f"({lines['change'] - lines['base']:+d})", flush=True)
         results = compare(base_tree, spec, args.workload or names, args.pairs, args.seed,
                           args.seconds)
     workloads = report(results, spec)
     if args.out:
-        record = {"base": {"rev": args.base, "commit": base_commit},
+        record = {"base": {"rev": args.base, "commit": base_commit,
+                           "src_lines": lines["base"]},
                   "change": {"head": git("rev-parse", "HEAD"),
-                             "uncommitted_changes": bool(git("status", "--porcelain"))},
+                             "uncommitted_changes": bool(git("status", "--porcelain")),
+                             "src_lines": lines["change"]},
                   "pairs": args.pairs, "first_seed": args.seed, "seconds": args.seconds,
                   "machine": machine(), "workloads": workloads}
         args.out.write_text(json.dumps(record, indent=1) + "\n")

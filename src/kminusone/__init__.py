@@ -8,8 +8,6 @@ from .blowup import (
     BlowupStep,
     blowup_curve_verdict,
     blowup_k_theory,
-    blowup_singularities,
-    node_germ,
 )
 from .curves import (
     CurveSpec,
@@ -64,18 +62,13 @@ from .quiver import (
     doubled_quiver,
 )
 from .varieties import (
-    DelPezzoRow,
     EnoughWeil,
     GlobalReport,
     SurfaceResolutionSpec,
     VarietySpec,
-    del_pezzo_case,
-    del_pezzo_node_count,
     del_pezzo_spec,
-    del_pezzo_table,
     kawamata_p2p2_spec,
     nodal_quadric_spec,
-    small_resolution_rank,
     surface_k_minus_one,
     surface_rank,
     threefold_invariants,

@@ -10,12 +10,10 @@ threefold hypersurface point x_n x_{n+1} + f per center singularity.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .curves import DualGraph, betti1, curve_k_minus_one, is_forest_of_lines
 from .errors import InputError, SpecValidationError, at_field
-from .exact import BiPoly, FinAbGroup
-from .localsing import classify_cAn
+from .exact import FinAbGroup
+from .localsing import classify_cAn, ordinary_double_point
 from .records import record
 from .verdicts import Verdict, decide
 
@@ -28,25 +26,13 @@ def blowup_k_theory(base: FinAbGroup, center: FinAbGroup, codim: int) -> FinAbGr
     return base.direct_sum(center.repeated(codim - 1))
 
 
-def blowup_singularities(center_germs) -> list:
-    """Singularities of the blow-up of a smooth threefold along a
-    codimension-2 lci curve whose isolated plane-germ singularities are
-    given: one threefold germ xy + f per center germ f."""
-    return [classify_cAn(f) for f in center_germs]
-
-
-def node_germ() -> BiPoly:
-    """The nodal plane germ z*w."""
-    return BiPoly({(1, 1): Fraction(1)})
-
-
 @record
 class BlowupStep:
     """One blow-up along a nodal curve inside the current (smooth ambient)
     threefold.  center_germs optionally refines the plane germs at the
     singular points of the center: one two-branch germ per node, that is
     per edge of the dual graph, in edge order.  By default every node
-    contributes the germ z*w."""
+    contributes the germ z*w, and the blow-up an ordinary double point."""
 
     center: DualGraph
     center_germs: tuple = ()
@@ -66,18 +52,13 @@ class BlowupStep:
                 raise SpecValidationError(
                     f"center_germs[{j}]", f"a node of the center has 2 branches, "
                     f"this germ has {sing.br}")
+        if not germs:
+            acquired = (ordinary_double_point(),) * self.center.edge_count
         object.__setattr__(self, "acquired", acquired)  # not a field: outside ==, hash, repr
-
-    def germs(self):
-        if self.center_germs:
-            return list(self.center_germs)
-        return [node_germ() for _ in self.center.edges]
 
     def singularities(self):
         """The points the blow-up acquires, one per node of the center."""
-        if self.center_germs:
-            return list(self.acquired)
-        return blowup_singularities([node_germ()]) * self.center.edge_count
+        return list(self.acquired)
 
 
 @record

@@ -32,7 +32,7 @@ from .localsing import LocalSingularity, ade_germ, ade_labels, ade_lookup, \
 from .parsing import parse_polynomial, render_polynomial
 from .quiver import AlgebraBasis, QuiverWithRelations, algebra_basis, burban_quiver
 from .varieties import GlobalReport, SurfaceResolutionSpec, VarietySpec, \
-    del_pezzo_table, surface_k_minus_one, threefold_invariants
+    del_pezzo_spec, kawamata_p2p2_spec, surface_k_minus_one, threefold_invariants
 from .verdicts import Verdict, decide
 
 
@@ -433,9 +433,16 @@ def render_snf_report(m: IntMatrix) -> Report:
 
 
 def render_delpezzo_table() -> Report:
-    data = [{"d": r.d, "singular_points": r.singular_points, "pic_rank": r.pic_rank,
-             "cl_rank": r.cl_rank, "k_rank": r.k_rank, "verdict": r.verdict}
-            for r in del_pezzo_table()]
+    """Degrees 1..5 from del_pezzo_spec, degree 6 the P^2 x P^2 section;
+    each row's rank and verdict from decide."""
+    data = []
+    for d in range(1, 7):
+        spec = kawamata_p2p2_spec() if d == 6 else del_pezzo_spec(d)
+        verdict = decide(spec)
+        data.append({"d": d, "singular_points": len(spec.singularities),
+                     "pic_rank": spec.pic_rank, "cl_rank": spec.cl_rank,
+                     "k_rank": verdict.k_minus_one.free_rank,
+                     "verdict": verdict.decision.value})
     return Report(data, lambda rows: [
         " d | #sing | rk Pic | rk Cl | rk K_-1 | Kawamata decomp.",
         "---+-------+--------+-------+---------+------------------"] + [

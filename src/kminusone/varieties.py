@@ -16,7 +16,7 @@ rank L - delta is known.
 from __future__ import annotations
 
 from enum import Enum
-from math import comb
+from itertools import combinations
 
 from .errors import InputError
 from .exact import FinAbGroup, IntMatrix, cokernel
@@ -97,11 +97,11 @@ def threefold_invariants(spec: VarietySpec) -> GlobalReport:
     """L, defect, K_-1 and the enough-Weil-divisors verdict of a threefold
     with isolated cA_n singularities.
 
-    Without a restriction matrix the group is rank-only; delta = L then
-    reports RankZeroUnverified because rank equality alone does not
-    certify surjectivity of the restriction map (an integral condition).
-    L = 0 is the exception: the variety is factorial and has enough Weil
-    divisors at the same time.
+    Without a restriction matrix the group is rank-only: K_-1 = Z^(L-delta),
+    exact when delta = 0.  delta = L > 0 then reports RankZeroUnverified
+    because rank equality alone does not certify surjectivity of the
+    restriction map (an integral condition); L = 0 makes the variety
+    factorial and gives it enough Weil divisors at the same time.
     """
     L = spec.L
     delta = spec.defect
@@ -115,45 +115,9 @@ def threefold_invariants(spec: VarietySpec) -> GlobalReport:
                               "restriction matrix does not have full column rank delta")
         ew = EnoughWeil.YES if k.is_trivial() else EnoughWeil.NO
         return GlobalReport(L, delta, k, ew, exact=True)
-    if L == 0:
-        # factorial and with enough Weil divisors at the same time
-        return GlobalReport(0, 0, FinAbGroup.trivial(), EnoughWeil.YES, exact=True)
-    k = FinAbGroup.free(L - delta)
-    if delta < L:
-        ew = EnoughWeil.NO
-        # delta = 0 makes the sequence split off nothing: K_-1 = Z^L exactly
-        return GlobalReport(L, delta, k, ew, exact=(delta == 0))
-    return GlobalReport(L, delta, k, EnoughWeil.RANK_ZERO_UNVERIFIED, exact=False)
-
-
-@record
-class SmallResolutionRank:
-    rank_k_minus_one: int
-    defect: int
-
-
-def small_resolution_rank(r: int, mu: int, rho_x: int, rho_y: int) -> SmallResolutionRank:
-    """rk K_-1 = r - mu + rho_X - rho_Y for a nodal threefold X with r
-    nodes whose small resolution is the blow-up of mu points on a smooth
-    Y; the defect is mu + rho_Y - rho_X."""
-    if r < 0 or mu < 0:
-        raise InputError("node and point counts must be >= 0")
-    rank = r - mu + rho_x - rho_y
-    delta = mu + rho_y - rho_x
-    if rank < 0 or delta < 0:
-        raise InputError(
-            f"rank {rank}, defect {delta}: inconsistent small-resolution data")
-    return SmallResolutionRank(rank, delta)
-
-
-@record
-class DelPezzoRow:
-    d: int
-    singular_points: int
-    pic_rank: int
-    cl_rank: int
-    k_rank: int
-    verdict: str
+    ew = (EnoughWeil.NO if delta < L else EnoughWeil.YES if L == 0
+          else EnoughWeil.RANK_ZERO_UNVERIFIED)
+    return GlobalReport(L, delta, FinAbGroup.free(L - delta), ew, exact=delta == 0)
 
 
 def nodal_quadric_spec() -> VarietySpec:
@@ -176,43 +140,36 @@ def kawamata_p2p2_spec() -> VarietySpec:
                        label="kawamata-p2p2")
 
 
-def del_pezzo_node_count(mu: int) -> int:
-    """Nodes of the half-anticanonical contraction of the blow-up of mu
-    general points on P^3: one per contracted line through a point pair
-    plus one per twisted cubic through a six-tuple."""
-    return comb(mu, 2) + comb(mu, 6)
+def contracted_curves(mu: int) -> list:
+    """The curves that the half-anticanonical contraction of the blow-up of
+    mu general points of P^3 contracts, as rows (H.C, E_1.C, ..., E_mu.C):
+    the line through each pair of points, and for mu >= 6 the twisted
+    cubic through each six of them."""
+    curves = [(1, points) for points in combinations(range(mu), 2)]
+    curves += [(3, points) for points in combinations(range(mu), 6)]
+    return [[h] + [int(i in points) for i in range(mu)] for h, points in curves]
 
 
 def del_pezzo_spec(d: int) -> VarietySpec:
-    """Rank-only VarietySpec of the del Pezzo threefold of degree d with
-    maximal class group rank (1 <= d <= 5)."""
+    """The del Pezzo threefold X of degree d with maximal class group rank
+    (1 <= d <= 5), with its restriction matrix (the source paper, arXiv:
+    1910.09531; Prokhorov, "G-Fano threefolds, I", Adv. Geom. 13, 2013).
+
+    X~ = Bl_mu P^3, the blow-up of mu = 8 - d general points, is a small
+    resolution of X; it contracts the curves of contracted_curves(mu), one
+    per node.  Cl(X) = Pic(X~) = Z<H, E_1 .. E_mu> and Pic(X) = Z(2H - sum
+    E_i), which meets every contracted curve in degree 0.  The local class
+    group at the node x is Z, read as the degree on its exceptional curve
+    C_x, so the restriction map is D -> (D.C_x)_x; on the basis H, E_1 ..
+    E_(mu-1) of Cl/Pic it is the L x mu matrix of those degrees."""
     if not 1 <= d <= 5:
         raise InputError("del Pezzo blow-up description covers 1 <= d <= 5")
     mu = 8 - d
-    r = del_pezzo_node_count(mu)
-    res = small_resolution_rank(r, mu, 1, 1)
-    sing = (ordinary_double_point(),) * r
-    return VarietySpec(singularities=sing, pic_rank=1,
-                       cl_rank=1 + res.defect, label=f"del-pezzo-{d}")
-
-
-def del_pezzo_case(d: int) -> DelPezzoRow:
-    """One row of the del Pezzo threefold summary table: the threefold
-    report of del_pezzo_spec(d), built from the blow-up description
-    (mu = 8 - d points on Y = P^3, rho_Y = 1), or of the catalog spec for
-    d = 6.  Only the d = 5 and d = 6 verdicts are stored: "?" remains
-    open in degree 5, and degree 6 is the P^2 x P^2-section example."""
-    if not 1 <= d <= 6:
-        raise InputError("the summary table covers 1 <= d <= 6")
-    spec = kawamata_p2p2_spec() if d == 6 else del_pezzo_spec(d)
-    rank = threefold_invariants(spec).k_minus_one.free_rank
-    verdict = "Yes" if d == 6 else "No" if rank > 0 else "Unknown"
-    return DelPezzoRow(d, len(spec.singularities), spec.pic_rank, spec.cl_rank,
-                       rank, verdict)
-
-
-def del_pezzo_table() -> list:
-    return [del_pezzo_case(d) for d in range(1, 7)]
+    rows = [row[:-1] for row in contracted_curves(mu)]
+    return VarietySpec(singularities=(ordinary_double_point(),) * len(rows),
+                       pic_rank=1, cl_rank=1 + mu,
+                       restriction_matrix=IntMatrix.from_rows(rows),
+                       label=f"del-pezzo-{d}")
 
 
 def surface_rank(rho_x: int, rho_resolution: int, n_exceptional: int) -> int:

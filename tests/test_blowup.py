@@ -11,8 +11,6 @@ from kminusone.blowup import (
     BlowupStep,
     blowup_curve_verdict,
     blowup_k_theory,
-    blowup_singularities,
-    node_germ,
 )
 from kminusone.cli import emit_report, render_blowup_report, run_cli
 from kminusone.curves import DualGraph, betti1, curve_k_minus_one
@@ -53,20 +51,34 @@ class TestBlowupKTheory:
 
 
 class TestBlowupSingularities:
+    """A center germ f gives the blow-up the point xy + f, which
+    classify_cAn classifies."""
+
     def test_nodal_center_gives_odp(self):
-        (sing,) = blowup_singularities([node_germ()])
+        sing = classify_cAn(poly("z*w"))
         assert (sing.n, sing.br, sing.cl_rank) == (1, 2, 1)
 
     def test_cuspidal_center(self):
-        (sing,) = blowup_singularities([poly("z^2 + w^3")])
+        sing = classify_cAn(poly("z^2 + w^3"))
         assert (sing.n, sing.br, sing.cl_rank) == (1, 1, 0)
 
     def test_smooth_center(self):
-        assert blowup_singularities([]) == []
+        assert BlowupStep(DualGraph(1)).singularities() == []
 
     def test_non_isolated_center_rejected(self):
         with pytest.raises(NotIsolated):
-            blowup_singularities([poly("z^2")])
+            classify_cAn(poly("z^2"))
+
+    def test_default_nodes_from_the_catalog(self, monkeypatch):
+        # a center given by its graph alone has nodes z*w, and the blow-up
+        # takes their ordinary double points without classifying a germ
+        calls = []
+        monkeypatch.setattr(blowup, "classify_cAn",
+                            lambda g: calls.append(g) or classify_cAn(g))
+        graph = DualGraph(3, ((0, 1), (1, 2), (2, 0), (0, 0)))
+        step = BlowupStep(graph)
+        assert step.singularities() == [classify_cAn(poly("z*w"))] * graph.edge_count
+        assert calls == []
 
 
 class TestBlowupCurveVerdict:
@@ -113,8 +125,7 @@ class TestRouteAgreement:
             e = rng.randint(0, 6)
             g = DualGraph(v, tuple((rng.randrange(v), rng.randrange(v))
                                    for _ in range(e)))
-            step = BlowupStep(center=g)
-            sings = blowup_singularities(step.germs())
+            sings = BlowupStep(center=g).singularities()
             assert sum(s.cl_rank for s in sings) == g.edge_count
 
 
@@ -142,7 +153,7 @@ class TestCenterConsistency:
 
     def test_germ_count_must_match_node_count(self):
         with pytest.raises(SpecValidationError) as info:
-            decide(BlowupPipeline((BlowupStep(DualGraph(1), (node_germ(),) * 3),)))
+            decide(BlowupPipeline((BlowupStep(DualGraph(1), (poly("z*w"),) * 3),)))
         assert info.value.path == "center_germs"
 
     def test_node_germs_accepted_and_counted_once(self, monkeypatch):

@@ -20,10 +20,8 @@ from kminusone.localsing import LocalSingularity
 from kminusone.parsing import parse_polynomial
 from kminusone.quiver import AlgebraBasis, Arrow, QuiverWithRelations
 from kminusone.varieties import (
-    DelPezzoRow,
     EnoughWeil,
     GlobalReport,
-    SmallResolutionRank,
     SurfaceResolutionSpec,
     VarietySpec,
 )
@@ -49,8 +47,6 @@ FACTORIES = {
     BlowupPipeline: lambda: BlowupPipeline((BlowupStep(_edge()),)),
     VarietySpec: lambda: VarietySpec((LocalSingularity(1, 2),), 1, 2, IntMatrix(1, 1, (2,))),
     GlobalReport: lambda: GlobalReport(1, 1, FinAbGroup(0, (2,)), EnoughWeil.NO, True),
-    SmallResolutionRank: lambda: SmallResolutionRank(1, 0),
-    DelPezzoRow: lambda: DelPezzoRow(1, 1, 1, 2, 0, "Yes"),
     SurfaceResolutionSpec: lambda: SurfaceResolutionSpec(1, 2, 1, True, (2,)),
     DualGraph: _edge,
     GeneralCurvePiece: lambda: GeneralCurvePiece(1, (2, 1)),
@@ -115,8 +111,8 @@ def test_hash_is_that_of_the_field_tuple():
 
 
 def test_records_of_different_classes_never_compare_equal():
-    assert _fields(SmallResolutionRank(1, 0)) == _fields(BranchReport(1, 0))
-    assert SmallResolutionRank(1, 0) != BranchReport(1, 0)
+    assert _fields(LocalSingularity(2, 2)) == _fields(BranchReport(2, 2))
+    assert LocalSingularity(2, 2) != BranchReport(2, 2)
     assert FinAbGroup(1, (2,)) != (1, (2,))
     assert FinAbGroup(1, (2,)) != FinAbGroup(1, (4,))
 

@@ -1,6 +1,7 @@
 """Threefold invariants, the del Pezzo catalog, and the surface formula."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -11,16 +12,15 @@ from kminusone.varieties import (
     EnoughWeil,
     SurfaceResolutionSpec,
     VarietySpec,
-    del_pezzo_case,
-    del_pezzo_node_count,
-    del_pezzo_table,
+    contracted_curves,
+    del_pezzo_spec,
     kawamata_p2p2_spec,
     nodal_quadric_spec,
-    small_resolution_rank,
     surface_k_minus_one,
     surface_rank,
     threefold_invariants,
 )
+from kminusone.verdicts import decide
 
 
 def nodes(r):
@@ -128,44 +128,78 @@ class TestThreefoldInvariants:
 
 
 class TestSmallResolution:
+    """X~ = Bl_mu P^3, mu = 8 - d, resolves the del Pezzo threefold of
+    degree d; its restriction matrix gives K_-1 as a cokernel."""
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_contracted_curves_meet_pic_trivially(self, d):
+        # the full table, E_mu included: -K/2 = 2H - sum E_i has degree 0
+        # on every contracted curve, so Pic(X) restricts to zero
+        mu = 8 - d
+        table = contracted_curves(mu)
+        assert all(2 * h - sum(e) == 0 for h, *e in table)
+        assert del_pezzo_spec(d).restriction_matrix \
+            == IntMatrix.from_rows([row[:mu] for row in table])
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_rank_is_nodes_minus_points(self, d):
+        # the small-resolution rank r - mu + rho_X - rho_Y with
+        # rho_X = rho_Y = 1, as an oracle
+        mu = 8 - d
+        rep = threefold_invariants(del_pezzo_spec(d))
+        assert rep.exact and rep.delta == mu
+        assert rep.k_minus_one.free_rank == comb(mu, 2) + comb(mu, 6) - mu
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_cokernel_matches_sympy(self, d):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        m = del_pezzo_spec(d).restriction_matrix
+        snf = smith_normal_form(sympy.Matrix(m.to_rows()), domain=sympy.ZZ)
+        diagonal = [abs(snf[j, j]) for j in range(min(m.rows, m.cols))]
+        nonzero = [x for x in diagonal if x]
+        expected = FinAbGroup(m.rows - len(nonzero), tuple(x for x in nonzero if x > 1))
+        assert threefold_invariants(del_pezzo_spec(d)).k_minus_one == expected
+
     def test_del_pezzo_degree_four(self):
-        res = small_resolution_rank(6, 4, 1, 1)
-        assert res.rank_k_minus_one == 2 and res.defect == 4
+        rep = threefold_invariants(del_pezzo_spec(4))
+        assert rep.k_minus_one == FinAbGroup.free(2) and rep.delta == 4
 
     def test_del_pezzo_degree_one(self):
-        assert small_resolution_rank(28, 7, 1, 1).rank_k_minus_one == 21
+        assert decide(del_pezzo_spec(1)).k_minus_one == FinAbGroup.free(21)
 
     def test_balanced_case(self):
-        assert small_resolution_rank(3, 3, 2, 2).rank_k_minus_one == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(InputError, match="rank -4, defect 5: inconsistent"):
-            small_resolution_rank(1, 5, 1, 1)
-        with pytest.raises(InputError, match="rank 3, defect -2: inconsistent"):
-            small_resolution_rank(1, 0, 3, 1)  # defect would be negative
+        # d = 5: as many nodes as points, and the 3 x 3 matrix is
+        # unimodular, so K_-1 = 0 exactly rather than rank 0 unverified
+        rep = threefold_invariants(del_pezzo_spec(5))
+        assert rep.L == rep.delta == 3
+        assert rep.enough_weil is EnoughWeil.YES
+        assert decide(del_pezzo_spec(5)).k_minus_one == FinAbGroup.trivial()
 
 
 class TestDelPezzo:
     def test_node_counts_from_blowup_description(self):
         # lines through pairs plus twisted cubics through six-tuples
-        assert [del_pezzo_node_count(8 - d) for d in range(1, 6)] == \
+        assert [len(del_pezzo_spec(d).singularities) for d in range(1, 6)] == \
             [28, 16, 10, 6, 3]
 
+    @staticmethod
+    def row(d):
+        # degree 6 is the P^2 x P^2 section; every row's rank and verdict
+        # come from decide on the spec, as in `table delpezzo`
+        spec = kawamata_p2p2_spec() if d == 6 else del_pezzo_spec(d)
+        verdict = decide(spec)
+        return (len(spec.singularities), spec.pic_rank, spec.cl_rank,
+                verdict.k_minus_one.free_rank, verdict.decision.value)
+
     def test_spec_example_rows(self):
-        r3 = del_pezzo_case(3)
-        assert (r3.singular_points, r3.pic_rank, r3.cl_rank, r3.k_rank,
-                r3.verdict) == (10, 1, 6, 5, "No")
-        r5 = del_pezzo_case(5)
-        assert (r5.singular_points, r5.pic_rank, r5.cl_rank, r5.k_rank,
-                r5.verdict) == (3, 1, 4, 0, "Unknown")
-        r6 = del_pezzo_case(6)
-        assert (r6.singular_points, r6.pic_rank, r6.cl_rank, r6.k_rank,
-                r6.verdict) == (1, 2, 3, 0, "Yes")
+        assert self.row(3) == (10, 1, 6, 5, "No")
+        assert self.row(5) == (3, 1, 4, 0, "Unknown")
+        assert self.row(6) == (1, 2, 3, 0, "Yes")
 
     def test_full_table(self):
-        rows = [(r.d, r.singular_points, r.pic_rank, r.cl_rank, r.k_rank,
-                 r.verdict) for r in del_pezzo_table()]
-        assert rows == [
+        assert [(d, *self.row(d)) for d in range(1, 7)] == [
             (1, 28, 1, 8, 21, "No"),
             (2, 16, 1, 7, 10, "No"),
             (3, 10, 1, 6, 5, "No"),
@@ -174,10 +208,15 @@ class TestDelPezzo:
             (6, 1, 2, 3, 0, "Yes"),
         ]
 
+    def test_every_builtin_spec_carries_a_matrix(self):
+        specs = [del_pezzo_spec(d) for d in range(1, 6)]
+        specs += [nodal_quadric_spec(), kawamata_p2p2_spec()]
+        assert all(s.restriction_matrix is not None for s in specs)
+
     def test_out_of_range(self):
-        for d in (0, 7):
-            with pytest.raises(InputError, match="covers 1 <= d <= 6"):
-                del_pezzo_case(d)
+        for d in (0, 6):
+            with pytest.raises(InputError, match="covers 1 <= d <= 5"):
+                del_pezzo_spec(d)
 
 
 class TestSurfaces:
