@@ -17,9 +17,10 @@ range.  Then, for each input family, the median over the runs of the
 family's median latency on both sides, and its relative change, which shows
 where a gain lands.  Failed shares and the oracle's `correct` flag are
 listed per run.  The line count of src/kminusone/*.py in each tree, the
-size that ROADMAP.md tracks, is printed first.  With --out, every run (seed,
-result line, family medians), the per-metric summaries, both line counts and
-the machine are written to a JSON file.
+size that ROADMAP.md tracks, is printed first, with the count of each module.
+With --out, every run (seed, result line, family medians), the per-metric
+summaries, both line counts, both per-module counts and the machine are
+written to a JSON file.
 Standard library only; run it from the root of a checkout.
 """
 
@@ -55,9 +56,11 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return {"seed": seed, "result": json.loads(lines[-1]), "family_median_ms": families}
 
 
-def src_lines(tree: Path) -> int:
-    """Lines of src/kminusone/*.py in tree, counted as `wc -l` counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "kminusone").glob("*.py"))
+def src_files(tree: Path) -> dict:
+    """Lines of each src/kminusone/*.py in tree by file name, counted as
+    `wc -l` counts them."""
+    return {p.name: p.read_bytes().count(b"\n")
+            for p in sorted((tree / "src" / "kminusone").glob("*.py"))}
 
 
 def quartiles(values: list) -> tuple:
@@ -182,18 +185,22 @@ def main(argv=None) -> int:
         if archive.wait():
             sys.exit(f"git archive {base_commit} exited {archive.returncode}")
         print(f"base {args.base} ({base_commit[:12]}) against the checkout {ROOT}", flush=True)
-        lines = {"base": src_lines(base_tree), "change": src_lines(ROOT)}
+        files = {"base": src_files(base_tree), "change": src_files(ROOT)}
+        lines = {side: sum(counts.values()) for side, counts in files.items()}
         print(f"src/kminusone/*.py: base {lines['base']} lines, change {lines['change']} "
               f"({lines['change'] - lines['base']:+d})", flush=True)
+        for name in sorted(files["base"].keys() | files["change"].keys()):
+            b, c = files["base"].get(name, 0), files["change"].get(name, 0)
+            print(f"  {name:<16} base {b:5d}  change {c:5d}  ({c - b:+d})", flush=True)
         results = compare(base_tree, spec, args.workload or names, args.pairs, args.seed,
                           args.seconds)
     workloads = report(results, spec)
     if args.out:
         record = {"base": {"rev": args.base, "commit": base_commit,
-                           "src_lines": lines["base"]},
+                           "src_lines": lines["base"], "src_files": files["base"]},
                   "change": {"head": git("rev-parse", "HEAD"),
                              "uncommitted_changes": bool(git("status", "--porcelain")),
-                             "src_lines": lines["change"]},
+                             "src_lines": lines["change"], "src_files": files["change"]},
                   "pairs": args.pairs, "first_seed": args.seed, "seconds": args.seconds,
                   "machine": machine(), "workloads": workloads}
         args.out.write_text(json.dumps(record, indent=1) + "\n")

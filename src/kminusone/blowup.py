@@ -10,7 +10,7 @@ threefold hypersurface point x_n x_{n+1} + f per center singularity.
 
 from __future__ import annotations
 
-from .curves import DualGraph, betti1, curve_k_minus_one, is_forest_of_lines
+from .curves import DualGraph, betti1, curve_k_minus_one
 from .errors import InputError, SpecValidationError, at_field
 from .exact import FinAbGroup
 from .localsing import classify_cAn, ordinary_double_point
@@ -92,7 +92,7 @@ def blowup_curve_verdict(curve: DualGraph) -> Verdict:
         raise InputError(
             "blowup_curve_verdict requires all center components rational; "
             "use decide() on a pipeline for the general soundness-only check")
-    if betti1(curve) == 0 and not is_forest_of_lines(curve):
+    if betti1(curve) == 0 and not all(curve.smooth_p1):
         raise InputError(
             "contradictory flags: a loop-free nodal curve with rational "
             "components has smooth P^1 components")

@@ -20,14 +20,15 @@ class DualGraph:
     component is rational and whether it is a smooth P^1.
 
     A vertex carrying a loop has a self-node, so it cannot be a smooth
-    P^1; when the flag is not supplied it defaults to ``rational and
-    loop-free``.
+    P^1.  A flag list that is given covers every vertex; when it is not
+    given (None), every component is rational, and smooth_p1 defaults to
+    ``rational and loop-free``.
     """
 
     vertex_count: int
     edges: tuple = ()
-    rational: tuple = ()
-    smooth_p1: tuple = ()
+    rational: tuple | None = None
+    smooth_p1: tuple | None = None
 
     def __post_init__(self):
         if self.vertex_count < 0:
@@ -39,11 +40,11 @@ class DualGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range")
         object.__setattr__(self, "edges", edges)
         loops = {u for u, v in edges if u == v}
-        rational = self.rational or (True,) * self.vertex_count
+        rational = (True,) * self.vertex_count if self.rational is None else self.rational
         if len(rational) != self.vertex_count:
             raise ValueError("rationality flags must cover every vertex")
         rational = tuple(bool(x) for x in rational)
-        if self.smooth_p1:
+        if self.smooth_p1 is not None:
             smooth = tuple(bool(x) for x in self.smooth_p1)
             if len(smooth) != self.vertex_count:
                 raise ValueError("smooth_p1 flags must cover every vertex")

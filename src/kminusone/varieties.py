@@ -80,17 +80,20 @@ class GlobalReport:
             raise ValueError("rank of K_-1 must be L - delta")
 
 
-def _checked_cokernel(m: IntMatrix, name: str, shape: tuple, rank: int,
-                      rank_error: str) -> FinAbGroup:
-    """Cokernel of the restriction matrix m, which must have the given
-    shape and a cokernel of the given free rank."""
+def _checked_cokernel(m: IntMatrix | None, name: str, shape: tuple, rank: int,
+                      rank_error: str, exact: bool) -> tuple:
+    """(K_-1, exact) from restriction data: the cokernel of the matrix m,
+    which must have the given shape and a cokernel of the given free rank;
+    without m, the free group of that rank, exact as the caller's rule says."""
+    if m is None:
+        return FinAbGroup.free(rank), exact
     if (m.rows, m.cols) != shape:
         raise InputError(
             f"{name} must be {shape[0]} x {shape[1]}, got {m.rows} x {m.cols}")
     k = cokernel(m)
     if k.free_rank != rank:
         raise InputError(rank_error)
-    return k
+    return k, True
 
 
 def threefold_invariants(spec: VarietySpec) -> GlobalReport:
@@ -100,8 +103,8 @@ def threefold_invariants(spec: VarietySpec) -> GlobalReport:
     Without a restriction matrix the group is rank-only: K_-1 = Z^(L-delta),
     exact when delta = 0.  delta = L > 0 then reports RankZeroUnverified
     because rank equality alone does not certify surjectivity of the
-    restriction map (an integral condition); L = 0 makes the variety
-    factorial and gives it enough Weil divisors at the same time.
+    restriction map (an integral condition); L = 0 forces delta = 0, so a
+    factorial variety has enough Weil divisors.
     """
     L = spec.L
     delta = spec.defect
@@ -109,15 +112,12 @@ def threefold_invariants(spec: VarietySpec) -> GlobalReport:
         raise InputError(
             f"defect {delta} exceeds L = {L}: the map Z^delta -> Z^L "
             "cannot be injective, so the input is inconsistent")
-    m = spec.restriction_matrix
-    if m is not None:
-        k = _checked_cokernel(m, "restriction matrix", (L, delta), L - delta,
-                              "restriction matrix does not have full column rank delta")
-        ew = EnoughWeil.YES if k.is_trivial() else EnoughWeil.NO
-        return GlobalReport(L, delta, k, ew, exact=True)
-    ew = (EnoughWeil.NO if delta < L else EnoughWeil.YES if L == 0
+    k, exact = _checked_cokernel(spec.restriction_matrix, "restriction matrix", (L, delta),
+                                 L - delta, "restriction matrix does not have full "
+                                 "column rank delta", delta == 0)
+    ew = (EnoughWeil.NO if not k.is_trivial() else EnoughWeil.YES if exact
           else EnoughWeil.RANK_ZERO_UNVERIFIED)
-    return GlobalReport(L, delta, FinAbGroup.free(L - delta), ew, exact=delta == 0)
+    return GlobalReport(L, delta, k, ew, exact)
 
 
 def nodal_quadric_spec() -> VarietySpec:
@@ -216,10 +216,7 @@ def surface_k_minus_one(spec: SurfaceResolutionSpec):
     pins the cokernel down integrally."""
     rank = surface_rank(spec.pic_rank, spec.resolution_pic_rank,
                         spec.exceptional_components)
-    m = spec.restriction_matrix
-    if m is None:
-        return FinAbGroup.free(rank), rank == 0 and spec.is_smooth
     shape = (spec.exceptional_components, spec.resolution_pic_rank)
-    return _checked_cokernel(m, "surface restriction matrix", shape, rank,
-                             "matrix cokernel rank disagrees with the resolution "
-                             "rank data"), True
+    return _checked_cokernel(spec.restriction_matrix, "surface restriction matrix", shape,
+                             rank, "matrix cokernel rank disagrees with the resolution "
+                             "rank data", rank == 0 and spec.is_smooth)

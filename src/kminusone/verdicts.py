@@ -101,28 +101,33 @@ def smooth_verdict() -> Verdict:
                    k_minus_one=FinAbGroup.trivial())
 
 
-def _decide_curve(spec: CurveSpec) -> Verdict:
-    k = curve_k_minus_one(spec)
-    graph = spec.graph
-    if graph is not None:
-        if graph.edge_count == 0:
-            return smooth_verdict()
-        if not k.is_trivial():
-            return Verdict(Decision.NO, obstruction=k, k_minus_one=k)
-        if is_forest_of_lines(graph):
-            cert = Certificate(CertificateKind.BURBAN_TREE,
-                               quiver=doubled_quiver(graph))
-            return Verdict(Decision.YES, certificate=cert, k_minus_one=k)
-        return Verdict(Decision.UNKNOWN, k_minus_one=k, notes=(
-            "K_-1 vanishes, but the tree certificate needs all components "
-            "to be smooth rational curves",))
-    if all(not p.branch_numbers for p in spec.pieces):
+def _verdict(k: FinAbGroup, smooth: bool, certify, notes, exact: bool = True) -> Verdict:
+    """The soundness contract, the one decision rule of every input kind: a
+    smooth input is Yes; K_-1 != 0 is No with K_-1 as the obstruction; K_-1 = 0
+    is Yes with certify()'s certificate, run only then, or else Unknown with
+    the notes, carrying K_-1 only when it is known exactly."""
+    if smooth:
         return smooth_verdict()
     if not k.is_trivial():
         return Verdict(Decision.NO, obstruction=k, k_minus_one=k)
-    return Verdict(Decision.UNKNOWN, k_minus_one=k, notes=(
-        "K_-1 vanishes, but no certified construction covers this "
-        "singularity data",))
+    cert = certify()
+    if cert is not None:
+        return Verdict(Decision.YES, certificate=cert, k_minus_one=k)
+    return Verdict(Decision.UNKNOWN, k_minus_one=k if exact else None, notes=tuple(notes))
+
+
+def _decide_curve(spec: CurveSpec) -> Verdict:
+    k = curve_k_minus_one(spec)
+    graph = spec.graph
+    if graph is None:
+        return _verdict(k, all(not p.branch_numbers for p in spec.pieces), lambda: None, (
+            "K_-1 vanishes, but no certified construction covers this "
+            "singularity data",))
+    return _verdict(k, graph.edge_count == 0, lambda: (
+        Certificate(CertificateKind.BURBAN_TREE, quiver=doubled_quiver(graph))
+        if is_forest_of_lines(graph) else None), (
+        "K_-1 vanishes, but the tree certificate needs all components "
+        "to be smooth rational curves",))
 
 
 _CATALOG = {
@@ -155,59 +160,38 @@ def _catalog_certificate(spec: VarietySpec) -> Certificate | None:
 
 def _decide_threefold(spec: VarietySpec) -> Verdict:
     rep = threefold_invariants(spec)
-    if spec.is_smooth:
-        return smooth_verdict()
-    k = rep.k_minus_one
-    if not k.is_trivial():
-        return Verdict(Decision.NO, obstruction=k, k_minus_one=k)
-    notes = []
-    cert = _catalog_certificate(spec)
-    if cert is not None:
-        return Verdict(Decision.YES, certificate=cert, k_minus_one=k)
-    if rep.enough_weil is EnoughWeil.RANK_ZERO_UNVERIFIED:
-        notes.append("rk K_-1 = 0, but rank data alone does not certify "
-                     "surjectivity of the restriction map; supply a "
-                     "restriction matrix to verify")
-    else:
-        notes.append("K_-1 = 0 and the variety has enough Weil divisors: "
-                     "the necessary condition holds, but no certified "
-                     "construction matches")
+    notes = ["rk K_-1 = 0, but rank data alone does not certify "
+             "surjectivity of the restriction map; supply a "
+             "restriction matrix to verify"
+             if rep.enough_weil is EnoughWeil.RANK_ZERO_UNVERIFIED else
+             "K_-1 = 0 and the variety has enough Weil divisors: "
+             "the necessary condition holds, but no certified "
+             "construction matches"]
     if spec.pic_rank == 1:
         notes.append(CHELTSOV_NOTE)
-    return Verdict(Decision.UNKNOWN, k_minus_one=None if not rep.exact else k,
-                   notes=tuple(notes))
+    return _verdict(rep.k_minus_one, spec.is_smooth, lambda: _catalog_certificate(spec),
+                    notes, rep.exact)
 
 
 def _decide_surface(spec: SurfaceResolutionSpec) -> Verdict:
     k, exact = surface_k_minus_one(spec)
-    if spec.is_smooth:
-        return smooth_verdict()
-    if not k.is_trivial():
-        return Verdict(Decision.NO, obstruction=k, k_minus_one=k)
-    if exact and spec.toric_gorenstein:
-        cert = Certificate(CertificateKind.TORIC_SURFACE,
-                           algebra_orders=spec.singularity_orders)
-        return Verdict(Decision.YES, certificate=cert, k_minus_one=k)
-    if exact:
-        note = ("K_-1 = 0; for a Gorenstein toric surface this would be "
-                "decisive, but toricity was not asserted")
-    else:
-        note = ("rk K_-1 = 0, but vanishing is unverified without the "
-                "restriction matrix of the resolution")
-    return Verdict(Decision.UNKNOWN, k_minus_one=k if exact else None,
-                   notes=(note,))
+    note = ("K_-1 = 0; for a Gorenstein toric surface this would be "
+            "decisive, but toricity was not asserted" if exact else
+            "rk K_-1 = 0, but vanishing is unverified without the "
+            "restriction matrix of the resolution")
+    return _verdict(k, spec.is_smooth, lambda: (
+        Certificate(CertificateKind.TORIC_SURFACE, algebra_orders=spec.singularity_orders)
+        if exact and spec.toric_gorenstein else None), (note,), exact)
 
 
 def _decide_blowup(pipeline) -> Verdict:
-    total = pipeline.k_minus_one()
-    if not total.is_trivial():
-        return Verdict(Decision.NO, obstruction=total, k_minus_one=total)
-    parts = [smooth_verdict()]
-    parts += [_decide_curve(CurveSpec(graph=step.center)) for step in pipeline.steps]
-    if all(p.decision is Decision.YES for p in parts):
-        cert = Certificate(CertificateKind.BLOWUP_OF_YES_PAIR, parts=tuple(parts))
-        return Verdict(Decision.YES, certificate=cert, k_minus_one=total)
-    return Verdict(Decision.UNKNOWN, k_minus_one=total, notes=(
+    def certify():
+        parts = [smooth_verdict()]
+        parts += [_decide_curve(CurveSpec(graph=step.center)) for step in pipeline.steps]
+        return (Certificate(CertificateKind.BLOWUP_OF_YES_PAIR, parts=parts)
+                if all(p.decision is Decision.YES for p in parts) else None)
+
+    return _verdict(pipeline.k_minus_one(), False, certify, (
         "K_-1 of the blow-up vanishes, but a center is not a certified "
         "Yes (non-rational or non-smooth components)",))
 
@@ -219,7 +203,7 @@ def decide(obj) -> Verdict:
     from .blowup import BlowupPipeline  # local import to avoid a cycle
 
     if isinstance(obj, DualGraph):
-        return _decide_curve(CurveSpec(graph=obj))
+        obj = CurveSpec(graph=obj)
     if isinstance(obj, CurveSpec):
         return _decide_curve(obj)
     if isinstance(obj, VarietySpec):

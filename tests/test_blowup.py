@@ -199,5 +199,8 @@ class TestBlowupK:
     def test_contradictory_flags_rejected(self):
         with pytest.raises(InputError):
             blowup_curve_verdict(DualGraph(1, rational=(True,), smooth_p1=(False,)))
-        with pytest.raises(InputError):
-            blowup_curve_verdict(DualGraph(0))
+
+    def test_empty_center_agrees_on_both_routes(self):
+        pipeline = decide(BlowupPipeline((BlowupStep(DualGraph(0)),)))
+        assert pipeline.decision is Decision.YES
+        assert blowup_curve_verdict(DualGraph(0)) == pipeline

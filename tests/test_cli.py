@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alarm_budget import budget
+from kminusone import cli
 from kminusone.cli import MAX_GRAPH_SIZE, Report, emit_report, parse_spec_document, \
     render_quiver_report, run_cli
 from kminusone.curves import CurveSpec, DualGraph
@@ -343,6 +344,15 @@ class TestTables:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "table", "ade", "--k", "3..1")
         assert code == 1
+
+    def test_ade_k_limit(self, capsys, monkeypatch):
+        top = cli._MAX_ADE_K
+        code, out, _ = run(capsys, "table", "ade", "--k", f"1..{top}")
+        assert code == 0 and f"A{2 * top} " in out and f"A{2 * top + 1} " not in out
+        monkeypatch.setattr(cli, "ade_labels", lambda k_values: pytest.fail("rows built"))
+        for k in (f"{top + 1}", f"1..{top + 1}", f"{top}..{10 ** 30}"):
+            code, out, err = run(capsys, "table", "ade", "--k", k)
+            assert (code, out) == (1, "") and f"need M <= {top}" in err
 
     def test_json_table(self, capsys):
         code, out, _ = run(capsys, "--json", "table", "delpezzo")

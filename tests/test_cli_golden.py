@@ -129,6 +129,12 @@ REJECTED = [
     ["center germ syntax", {"kind": "blowup", "steps": [
         {"center": {"vertices": 1, "edges": [[0, 0]]}, "center_germs": ["z*"]}]}],
     ["center graph", {"kind": "blowup", "steps": [{"center": {"edges": []}}]}],
+    ["rational flags empty", {"kind": "curve", "graph": {"vertices": 2, "edges": [[0, 1]],
+                                                         "rational": []}}],
+    ["smooth flags empty", {"kind": "curve", "graph": {"vertices": 2, "edges": [[0, 1]],
+                                                       "smooth_p1": []}}],
+    ["center flags empty", {"kind": "blowup", "steps": [
+        {"center": {"vertices": 2, "edges": [[0, 1]], "rational": []}}]}],
 ]
 
 
@@ -223,11 +229,11 @@ def build_cases() -> list:
 
     add(["table", "delpezzo"])
     add(["--json", "table", "delpezzo"])
-    for k in ("1..3", "2", "1..1"):
+    for k in ("1..3", "2", "1..1", "1000"):
         add(["table", "ade", "--k", k])
         add(["table", "ade", "--k", k, "--json"])
     add(["table", "ade"])
-    for k in ("3..1", "0", "x", "1..y"):
+    for k in ("3..1", "0", "x", "1..y", "1..1001"):
         add(["table", "ade", "--k", k])
     add(["table", "e8"])
 

@@ -38,6 +38,13 @@ class TestDualGraph:
         with pytest.raises(ValueError):
             DualGraph(1, (), rational=(False,), smooth_p1=(True,))
 
+    @pytest.mark.parametrize("flag", ["rational", "smooth_p1"])
+    def test_a_given_flag_list_covers_every_vertex(self, flag):
+        # an empty list is given, not absent: it does not fall back to the default
+        with pytest.raises(ValueError, match="cover every vertex"):
+            DualGraph(2, ((0, 1),), **{flag: ()})
+        assert DualGraph(0, **{flag: ()}) == DualGraph(0)
+
     def test_connected_components(self):
         g = DualGraph(5, ((0, 1), (3, 4)))
         assert g.connected_components() == [[0, 1], [2], [3, 4]]

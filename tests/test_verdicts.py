@@ -6,7 +6,7 @@ import pytest
 
 from kminusone.blowup import BlowupPipeline, BlowupStep
 from kminusone.curves import CurveSpec, DualGraph, GeneralCurvePiece
-from kminusone.errors import SpecValidationError
+from kminusone.errors import InputError, SpecValidationError
 from kminusone.exact import FinAbGroup, IntMatrix
 from kminusone.localsing import ordinary_double_point
 from kminusone.quiver import algebra_basis
@@ -198,6 +198,32 @@ class TestBlowupDecisions:
         g = DualGraph(2, ((0, 1),), rational=(False, False))
         v = decide(BlowupPipeline(steps=(BlowupStep(g),)))
         assert v.decision is Decision.UNKNOWN
+
+
+class TestOneDecisionRule:
+    """What the one rule keeps: K_-1 first, then the smooth shortcut, and
+    the certificate sought only at K_-1 = 0."""
+
+    def test_catalog_label_consulted_only_at_vanishing_k(self):
+        spec = VarietySpec(singularities=nodes(2), pic_rank=1, cl_rank=2,
+                           label="nodal-quadric")  # two nodes, the catalog has one
+        v = decide(spec)
+        assert v.decision is Decision.NO and v.obstruction == FinAbGroup.free(1)
+
+    def test_smooth_threefold_with_defect_rejected(self):
+        with pytest.raises(InputError):
+            decide(VarietySpec(singularities=(), pic_rank=1, cl_rank=2))
+
+    def test_obstructed_blowup_decides_no_center(self, monkeypatch):
+        from kminusone import verdicts
+        real, calls = verdicts._decide_curve, []
+        monkeypatch.setattr(verdicts, "_decide_curve",
+                            lambda spec: calls.append(spec) or real(spec))
+        chain, nodal = BlowupStep(DualGraph(2, ((0, 1),))), BlowupStep(DualGraph(1, ((0, 0),)))
+        assert decide(BlowupPipeline((chain, nodal))).decision is Decision.NO
+        assert calls == []
+        assert decide(BlowupPipeline((chain,))).decision is Decision.YES
+        assert len(calls) == 1
 
 
 class TestSoundness:
