@@ -4,8 +4,12 @@
     python3 scripts/ab_pairs.py --base HEAD --workload germ-scan --seconds 30
     python3 scripts/ab_pairs.py --workload spec-batch --out results.json
 
-The base commit (default HEAD^, the parent) is exported with `git archive`
-into a temporary directory, removed afterwards.  For each workload of
+The base commit (default HEAD^, the parent) and the checkout are each
+exported with `git archive` into a sibling temporary directory, removed
+afterwards: the checkout as its tracked files with their uncommitted edits
+(`git stash create`, which leaves the checkout and the stash list as they
+are), so that both sides run from trees made the same way and at the same
+depth, and neither from the checkout itself.  For each workload of
 BENCHMARK.json, pair i runs `bench/run.py --trace 0` with seed SEED + i
 once in each tree, the base first in even pairs and second in odd ones, so
 neither side always runs on a warmer machine.  The report gives, for each
@@ -103,7 +107,7 @@ def family_medians(runs: dict) -> dict:
     return out
 
 
-def compare(base_tree: Path, spec: dict, workloads: list, pairs: int, seed: int,
+def compare(trees: dict, spec: dict, workloads: list, pairs: int, seed: int,
             seconds: int) -> dict:
     results = {}
     for workload in workloads:
@@ -111,8 +115,7 @@ def compare(base_tree: Path, spec: dict, workloads: list, pairs: int, seed: int,
         for i in range(pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                tree = base_tree if side == "base" else ROOT
-                runs[side].append(bench_run(tree, workload, seed + i, seconds))
+                runs[side].append(bench_run(trees[side], workload, seed + i, seconds))
             b, c = runs["base"][-1]["result"], runs["change"][-1]["result"]
             print(f"{workload} pair {i + 1}/{pairs} seed {seed + i}: "
                   + "  ".join(f"{m['name']} {b['metrics'][m['name']]['value']:.4g}/"
@@ -152,6 +155,16 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def export(commit: str, tree: Path) -> None:
+    """The files of commit, as `git archive` writes them, into tree."""
+    tree.mkdir()
+    archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        sys.exit(f"git archive {commit} exited {archive.returncode}")
+
+
 def machine() -> dict:
     affinity = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     return {"cpu_count": os.cpu_count(), "cpu_affinity": affinity,
@@ -175,30 +188,29 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2")
 
     base_commit = git("rev-parse", "--verify", args.base + "^{commit}")
+    # a commit of the tracked files as they are in the checkout; none when
+    # nothing is edited
+    change_commit = git("stash", "create") or git("rev-parse", "HEAD")
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
-        base_tree = Path(tmp) / "base"
-        base_tree.mkdir()
-        archive = subprocess.Popen(["git", "archive", base_commit], cwd=ROOT,
-                                   stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", str(base_tree)], stdin=archive.stdout, check=True)
-        archive.stdout.close()
-        if archive.wait():
-            sys.exit(f"git archive {base_commit} exited {archive.returncode}")
-        print(f"base {args.base} ({base_commit[:12]}) against the checkout {ROOT}", flush=True)
-        files = {"base": src_files(base_tree), "change": src_files(ROOT)}
+        trees = {side: Path(tmp) / side for side in ("base", "change")}
+        export(base_commit, trees["base"])
+        export(change_commit, trees["change"])
+        print(f"base {args.base} ({base_commit[:12]}) against the checkout {ROOT}, "
+              f"exported as {change_commit[:12]}", flush=True)
+        files = {side: src_files(tree) for side, tree in trees.items()}
         lines = {side: sum(counts.values()) for side, counts in files.items()}
         print(f"src/kminusone/*.py: base {lines['base']} lines, change {lines['change']} "
               f"({lines['change'] - lines['base']:+d})", flush=True)
         for name in sorted(files["base"].keys() | files["change"].keys()):
             b, c = files["base"].get(name, 0), files["change"].get(name, 0)
             print(f"  {name:<16} base {b:5d}  change {c:5d}  ({c - b:+d})", flush=True)
-        results = compare(base_tree, spec, args.workload or names, args.pairs, args.seed,
+        results = compare(trees, spec, args.workload or names, args.pairs, args.seed,
                           args.seconds)
     workloads = report(results, spec)
     if args.out:
         record = {"base": {"rev": args.base, "commit": base_commit,
                            "src_lines": lines["base"], "src_files": files["base"]},
-                  "change": {"head": git("rev-parse", "HEAD"),
+                  "change": {"head": git("rev-parse", "HEAD"), "exported": change_commit,
                              "uncommitted_changes": bool(git("status", "--porcelain")),
                              "src_lines": lines["change"], "src_files": files["change"]},
                   "pairs": args.pairs, "first_seed": args.seed, "seconds": args.seconds,

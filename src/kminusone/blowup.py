@@ -31,28 +31,28 @@ class BlowupStep:
     """One blow-up along a nodal curve inside the current (smooth ambient)
     threefold.  center_germs optionally refines the plane germs at the
     singular points of the center: one two-branch germ per node, that is
-    per edge of the dual graph, in edge order.  By default every node
-    contributes the germ z*w, and the blow-up an ordinary double point."""
+    per edge of the dual graph, in edge order.  When it is not given (None),
+    every node contributes the germ z*w, and the blow-up an ordinary double point."""
 
     center: DualGraph
-    center_germs: tuple = ()
+    center_germs: tuple | None = None
 
     def __post_init__(self):
-        germs = tuple(self.center_germs)
+        germs = None if self.center_germs is None else tuple(self.center_germs)
         object.__setattr__(self, "center_germs", germs)
         # the graph and the germs describe the same nodes, so they must agree
-        if germs and len(germs) != self.center.edge_count:
+        if germs is not None and len(germs) != self.center.edge_count:
             raise SpecValidationError(
                 "center_germs", f"expected one germ per node of the center "
                 f"({self.center.edge_count}), got {len(germs)}")
         acquired = tuple(at_field(f"center_germs[{j}]", classify_cAn, g)
-                         for j, g in enumerate(germs))
+                         for j, g in enumerate(germs or ()))
         for j, sing in enumerate(acquired):
             if sing.br != 2:
                 raise SpecValidationError(
                     f"center_germs[{j}]", f"a node of the center has 2 branches, "
                     f"this germ has {sing.br}")
-        if not germs:
+        if germs is None:
             acquired = (ordinary_double_point(),) * self.center.edge_count
         object.__setattr__(self, "acquired", acquired)  # not a field: outside ==, hash, repr
 

@@ -206,7 +206,7 @@ def parse_blowup_document(doc) -> BlowupPipeline:
         germs = _list(s, "center_germs", path, "a list of expression strings",
                       lambda g: isinstance(g, str))
         germs = tuple(at_field(f"{path}.center_germs[{j}]", parse_polynomial, g)
-                      for j, g in enumerate(germs))
+                      for j, g in enumerate(germs)) if "center_germs" in s else None
         try:
             steps.append(BlowupStep(center, germs))
         except SpecValidationError as exc:  # a germ at center_germs[j], or the germ count

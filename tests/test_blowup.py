@@ -156,6 +156,17 @@ class TestCenterConsistency:
             decide(BlowupPipeline((BlowupStep(DualGraph(1), (poly("z*w"),) * 3),)))
         assert info.value.path == "center_germs"
 
+    def test_an_empty_germ_list_is_given_not_absent(self):
+        # an empty list names no germ for the one node; only an absent list
+        # defaults every node to z*w
+        loop = DualGraph(1, ((0, 0),))
+        with pytest.raises(SpecValidationError) as info:
+            BlowupStep(loop, ())
+        assert (info.value.path, info.value.message) == (
+            "center_germs", "expected one germ per node of the center (1), got 0")
+        assert BlowupStep(loop).center_germs is None
+        assert BlowupStep(DualGraph(1), ()).singularities() == []
+
     def test_node_germs_accepted_and_counted_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(blowup, "classify_cAn",

@@ -128,6 +128,8 @@ REJECTED = [
         {"center": {"vertices": 1, "edges": [[0, 0]]}, "center_germs": "z*w"}]}],
     ["center germ syntax", {"kind": "blowup", "steps": [
         {"center": {"vertices": 1, "edges": [[0, 0]]}, "center_germs": ["z*"]}]}],
+    ["center germs empty", {"kind": "blowup", "steps": [
+        {"center": {"vertices": 1, "edges": [[0, 0]]}, "center_germs": []}]}],
     ["center graph", {"kind": "blowup", "steps": [{"center": {"edges": []}}]}],
     ["rational flags empty", {"kind": "curve", "graph": {"vertices": 2, "edges": [[0, 1]],
                                                          "rational": []}}],

@@ -4,8 +4,13 @@ fixes set iteration order and so printed output), repr, immutability, and
 the messages of their constructor checks."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +145,115 @@ def test_keyword_construction_with_defaults():
         BlowupStep(_edge(), acquired=())
     with pytest.raises(TypeError):
         IntMatrix(1, 1)
+
+
+# per record class: a construction by keywords that leaves every other field
+# at its default, and, where __post_init__ checks its fields, a construction
+# it rejects with that error
+FIRST_CONSTRUCTIONS = {
+    "IntMatrix": ("IntMatrix(rows=1, cols=1, entries=(2,))",
+                  "IntMatrix(-1, 0, ())", "ValueError: negative matrix dimensions"),
+    "FinAbGroup": ("FinAbGroup(invariant_factors=(2,))",
+                   "FinAbGroup(-1)", "ValueError: negative free rank"),
+    "NewtonEdge": ("NewtonEdge(start=(2, 0), end=(0, 3), direction=(2, 3), lattice_length=1, "
+                   "edge_polynomial=UniPoly((1, -1)))", None, None),
+    "BranchReport": ("BranchReport(order=2, branch_count=2)", None, None),
+    "LocalSingularity": ("LocalSingularity(n=1, br=2)",
+                         "LocalSingularity(None, 0)", "ValueError: branch number must be >= 1"),
+    "BlowupStep": ("BlowupStep(center=DualGraph(2, ((0, 1),)))",
+                   "BlowupStep(DualGraph(2, ((0, 1),)), ())", "SpecValidationError: "
+                   "center_germs: expected one germ per node of the center (1), got 0"),
+    "BlowupPipeline": ("BlowupPipeline(steps=[BlowupStep(DualGraph(1))])",
+                       "BlowupPipeline(())", "InputError: a blow-up pipeline needs at least one step"),
+    "VarietySpec": ("VarietySpec(cl_rank=1, pic_rank=1, singularities=[])",
+                    "VarietySpec((), 2, 1)", "ValueError: need 0 <= pic_rank <= cl_rank"),
+    "GlobalReport": ("GlobalReport(L=1, delta=1, k_minus_one=FinAbGroup(), "
+                     "enough_weil=EnoughWeil.NO, exact=True)",
+                     "GlobalReport(1, 2, FinAbGroup(), EnoughWeil.NO, True)",
+                     "ValueError: need 0 <= delta <= L"),
+    "SurfaceResolutionSpec": ("SurfaceResolutionSpec(pic_rank=1, resolution_pic_rank=2, "
+                              "exceptional_components=1)",
+                              "SurfaceResolutionSpec(1, 1, 0, singularity_orders=(1,))",
+                              "ValueError: cyclic quotient singularity orders are >= 2"),
+    "DualGraph": ("DualGraph(vertex_count=1)", "DualGraph(-1)", "ValueError: negative vertex count"),
+    "GeneralCurvePiece": ("GeneralCurvePiece(irreducible_components=1)", "GeneralCurvePiece(0)",
+                          "ValueError: a connected curve has at least one component"),
+    "CurveSpec": ("CurveSpec(graph=DualGraph(1))", "CurveSpec()",
+                  "ValueError: give exactly one of: dual graph, branch data"),
+    "Arrow": ("Arrow(source=0, target=1, name='a')", None, None),
+    "QuiverWithRelations": ("QuiverWithRelations(vertices=1)",
+                            "QuiverWithRelations(1, (Arrow(0, 1, 'a'),))",
+                            "ValueError: arrow a out of range"),
+    "AlgebraBasis": ("AlgebraBasis(labels=('e1',))", None, None),
+    "Certificate": ("Certificate(kind=CertificateKind.KAWAMATA_QUADRIC)",
+                    "Certificate(CertificateKind.BURBAN_TREE)",
+                    "ValueError: a BurbanTree certificate carries its quiver"),
+    "Verdict": ("Verdict(decision=Decision.NO, obstruction=FinAbGroup(1))",
+                "Verdict(Decision.YES)", "ValueError: a Yes verdict carries a certificate"),
+}
+
+# Runs in a fresh interpreter.  Each construction under test comes right after
+# a new import of the package, so that it is its class's first: the one that
+# compiles __init__.  Prints, per class, what each first call gave.
+_FIRST_CALLS = """import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+
+def fresh(name):
+    for module in [m for m in sys.modules if m.partition(".")[0] == "kminusone"]:
+        del sys.modules[module]
+    namespace = vars(importlib.import_module("kminusone"))
+    assert namespace[name].__init__.__code__.co_filename != "<string>"  # not compiled yet
+    return namespace
+
+def outcome(expr, namespace):
+    try:
+        return repr(eval(expr, namespace))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+out = {}
+for name, (keywords, rejected, _) in json.loads(sys.argv[2]).items():
+    ns = fresh(name)
+    row = {"keywords": outcome(keywords, ns), "equal": eval(f"{keywords} == {keywords}", ns)}
+    if rejected:
+        ns = fresh(name)
+        row.update(rejected=outcome(rejected, ns), then=outcome(keywords, ns))
+    ns = fresh(name)
+    row["arity"] = outcome(f"{name}(*range({len(ns[name].__annotations__) + 1}))", ns)
+    obj = eval(keywords, ns)
+    row.update(hash=hash(obj) == hash(tuple(getattr(obj, f) for f in ns[name].__annotations__)),
+               equal_again=obj == obj)
+    # each compiled method replaced its stand-in on the class
+    row["stand_ins"] = [m for m in ("__init__", "__eq__", "__hash__")
+                        if getattr(ns[name], m).__code__.co_filename != "<string>"]
+    out[name] = row
+print(json.dumps(out))
+"""
+
+
+def test_first_constructions_keep_every_record_semantic(tmp_path):
+    # a class compiles __init__ when first constructed, == and hash when
+    # either is first called; each first call must behave as every later one
+    assert set(FIRST_CONSTRUCTIONS) == {cls.__name__ for cls in FACTORIES}
+    src = Path(kminusone.__file__).resolve().parents[1]
+    # a bytecode cache, so that each new import does not compile the package
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    proc = subprocess.run([sys.executable, "-S", "-c", _FIRST_CALLS, str(src),
+                           json.dumps(FIRST_CONSTRUCTIONS)], capture_output=True, text=True,
+                          check=True, env={**env, "PYTHONPYCACHEPREFIX": str(tmp_path)})
+    first = json.loads(proc.stdout)
+    namespace = vars(kminusone)
+    for name, (keywords, rejected, error) in FIRST_CONSTRUCTIONS.items():
+        row, later = first[name], eval(keywords, namespace)
+        assert row["keywords"] == repr(later) and row["equal"] and row["hash"], name
+        assert row["equal_again"] and row["stand_ins"] == [], name
+        if rejected:
+            assert (row["rejected"], row["then"]) == (error, repr(later)), name
+        arity = len(type(later).__annotations__) + 1
+        with pytest.raises(TypeError) as info:
+            type(later)(*range(arity))
+        assert row["arity"] == f"TypeError: {info.value}", name
+    assert first["AlgebraBasis"]["hash"]  # hash(AlgebraBasis(("e1",))) == hash((("e1",),))
 
 
 @pytest.mark.parametrize("build, error, message", [

@@ -50,6 +50,35 @@ def test_cli_import_generates_no_dataclasses():
     assert _loaded_by_cli_import("dataclasses", "inspect", "typing") == "\n"
 
 
+# prints the module whose code raised each compile event of source text, and
+# the file name given to compile
+_COMPILES = """import sys
+sys.path.insert(0, sys.argv[1])
+seen = []
+def hook(event, args):
+    if event == "compile" and isinstance(args[0], (str, bytes)):
+        seen.append((sys._getframe(1).f_globals.get("__name__"), args[1]))
+sys.addaudithook(hook)
+import kminusone.cli
+for module, filename in seen:
+    print(module, filename)
+"""
+
+
+def test_cli_import_compiles_no_source_text():
+    # records compile their methods on first use, so importing the CLI
+    # generates no code: source text compiled from a kminusone module is code
+    # generated at import.  Compiling the package's own files, when no
+    # bytecode is cached, is the import system's, and the rest comes from
+    # the standard library (two namedtuple snippets from collections).
+    out = subprocess.run([sys.executable, "-S", "-c", _COMPILES, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    events = [line.split(" ", 1) for line in out.splitlines()]
+    assert [e for e in events if e[0].partition(".")[0] == "kminusone"] == []
+    generated = {module.partition(".")[0] for module, filename in events if filename == "<string>"}
+    assert generated <= sys.stdlib_module_names  # {"collections"} on Python 3.11
+
+
 def _sigalrm_uses(path: Path):
     """Lines that use ARMING, from the signal module or one bound to it."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
