@@ -14,7 +14,7 @@ field extension).
 
 from __future__ import annotations
 
-import argparse
+import atexit
 import json
 import os
 import sys
@@ -513,11 +513,6 @@ def emit_report(report: Report, as_json: bool = False) -> str:
 # command line
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InputError(message)
-
-
 def _load_json(source: str, inline: bool = False):
     """JSON from a file path, from stdin for '-', or from source itself
     when inline; every failure is an InputError naming the source."""
@@ -593,17 +588,26 @@ _DOCUMENT_COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="kminusone",
-                     description="K_-1 obstructions and certificates for "
-                                 "Kawamata type semiorthogonal decompositions")
+def build_parser(command=None):
+    """The argument parser, with the subparser of command alone when it is
+    one of the ten (argparse reaches no other), else all ten (for --help, a
+    typo or no command), which take about 4 ms of a cold run to build."""
+    import argparse  # about 2 ms at start-up, so only when a command line is parsed
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise InputError(message)
+
+    parser = Parser(prog="kminusone",
+                    description="K_-1 obstructions and certificates for "
+                                "Kawamata type semiorthogonal decompositions")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {name: entry[0] for name, entry in _GERM_COMMANDS.items()}
     commands.update((name, entry[0]) for name, entry in _DOCUMENT_COMMANDS.items())
     commands.update(snf="Smith normal form of an integer matrix", table="built-in tables")
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    for name in [command] if command in commands else commands:
+        p = sub.add_parser(name, help=commands[name])
         if name in _GERM_COMMANDS:
             p.add_argument("expr", nargs="?", help="germ expression in z, w")
             p.add_argument("--factors",
@@ -669,11 +673,15 @@ def _run(args) -> Report:
 
 def run_cli(argv=None) -> int:
     """Run one CLI invocation; returns the exit code and prints the report
-    to stdout (errors to stderr).  Never raises on malformed input."""
-    parser = build_parser()
+    or help to stdout (errors to stderr).  Never raises on malformed input."""
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse reads the first argument after the top-level flags as the command
+    parser = build_parser(next((a for a in argv if a != "--json"), None))
     try:
         args = parser.parse_args(argv)
         report = _run(args)
+    except SystemExit as exc:  # argparse, after printing the help
+        return exc.code
     except ExtensionUnsupported as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2
@@ -685,10 +693,20 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
+    """The console script: run_cli, the exit handlers as interpreter exit
+    runs them, and os._exit, which skips the rest of finalization (freeing
+    every object, 9-11 ms of a cold run, with nothing left to write).
+    A stdout closed at start or by a pipe's reader gives exit code 1."""
     try:
         code = run_cli()
-        sys.stdout.flush()  # a closed stdout fails here, inside the try
-    except BrokenPipeError:  # Python's SIGPIPE recipe: the flush at exit goes nowhere
+        if sys.stdout is None:  # started with stdout closed: the report went nowhere
+            code = 1
+        else:
+            sys.stdout.flush()  # a pipe closed by its reader fails here, inside the try
+    except BrokenPipeError:  # Python's SIGPIPE recipe: later flushes go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        stream.flush()
+    os._exit(code)

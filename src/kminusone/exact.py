@@ -741,6 +741,9 @@ def invariant_factors(m: IntMatrix) -> tuple:
     dn * y and dn * D: C = |D| / gcd(D, y) divides dn.  (2) For R = C, prod ei =
     |D| means ei = di for all i, as ei divides di.  Otherwise en = C and dn / en
     divides |D| / prod ei, so R = C * |D| / prod ei is a multiple of dn.
+    (3) As C divides dn, d1 ... dn-1 = |D| / dn divides s = |D| / C: modulo s,
+    ei = di for i < n, and their product is s just when dn = C (Saunders-Wan).
+    So a smaller s < C is tried first; s = 1 gives di = 1 with no elimination.
     """
     probe = m.rows == m.cols and prod(sum(map(mul, row, row)) for row in m.to_rows()) >> 128
     r, minor, a = _bareiss(m, _probe_columns(m.rows) if probe else ())
@@ -752,6 +755,10 @@ def invariant_factors(m: IntMatrix) -> tuple:
                 c[i] = (minor * c[i] - sum(map(mul, a[i][i + 1:r], c[i + 1:]))) // a[i][i]
             y += c
         C = R // gcd(minor, *y)
+        if (s := R // C) < C:
+            e = _chain(_pivot_gcds(m.to_rows(), s))[:-1] if s > 1 else [1] * (r - 1)
+            if prod(e) == s:
+                return (*e, C)
         e = _pivot_gcds(m.to_rows(), C)
         if prod(e) == R:
             return tuple(_chain(e))

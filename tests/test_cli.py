@@ -490,6 +490,70 @@ class TestEmitReport:
         assert proc.wait(timeout=60) == 1
         assert b"Traceback" not in err and b"BrokenPipe" not in err
 
+    def test_no_stdout_exits_one_without_traceback(self):
+        # started with stdout closed, as by `>&-`: sys.stdout is None
+        proc = run_main("branches", "z*w", stdout=None, preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+MAIN = "from kminusone.cli import main; main()"
+
+
+def run_main(*argv, prelude="", **kwargs):
+    """The console script `main` on argv in a fresh interpreter, from the
+    repository root as the golden corpus runs, with block-buffered output."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["COLUMNS"] = "80"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-c", prelude + MAIN, *argv], env=env, cwd=ROOT,
+                          stderr=subprocess.PIPE, timeout=60, **kwargs)
+
+
+def golden(argv):
+    """The golden corpus case of argv, run with no files and no stdin."""
+    cases = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+    (case,) = [c for c in cases if c["argv"] == argv and not c["files"] and c["stdin"] is None]
+    return case
+
+
+# counts the subparsers that argparse builds, and prints the count at exit
+COUNT_SUBPARSERS = """import argparse, atexit, sys
+built = []
+add_parser = argparse._SubParsersAction.add_parser
+argparse._SubParsersAction.add_parser = lambda self, name, **kw: (
+    built.append(name) or add_parser(self, name, **kw))
+atexit.register(lambda: print("subparsers built:", len(built), file=sys.stderr))
+"""
+
+
+class TestMain:
+    """The console script ends its process with os._exit once the report
+    is flushed and the exit handlers have run."""
+
+    @pytest.mark.parametrize("argv", [["table", "delpezzo"], ["--help"], ["decide", "missing.json"],
+                                      ["branches", "(z^7 - 2*w^7)^2 + z^3*w^12"]],
+                             ids=["exit 0", "help", "exit 1", "exit 2"])
+    def test_output_is_the_golden_text(self, argv):
+        proc, case = run_main(*argv), golden(argv)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == \
+            (case["exit"], case["stdout"], case["stderr"])
+
+    def test_exit_handler_runs_once_after_the_report(self):
+        proc = run_main("table", "delpezzo",
+                        prelude="import atexit; atexit.register(print, 'exit handler'); ")
+        assert proc.returncode == 0
+        assert proc.stdout.decode() == golden(["table", "delpezzo"])["stdout"] + "exit handler\n"
+
+    @pytest.mark.parametrize("argv, built", [
+        (["decide", "demos/data/threefold_del_pezzo_2.json"], 1),
+        (["--json", "table", "delpezzo"], 1),
+        (["branches", "z*w", "--help"], 1),
+        ([], 10), (["nonsense"], 10), (["--help"], 10), (["--json", "-h"], 10)])
+    def test_only_the_named_command_gets_a_subparser(self, argv, built):
+        proc = run_main(*argv, prelude=COUNT_SUBPARSERS)
+        assert proc.stderr.decode().splitlines()[-1] == f"subparsers built: {built}"
+
 
 def _large_tree_edges(shape):
     if shape == "path":

@@ -168,6 +168,32 @@ def rand_rational_bipoly(rng, nterms, deg_z, deg_w):
     return BiPoly(t)
 
 
+def test_cokernels_modulo_the_smaller_cofactor_match_sympy(monkeypatch):
+    # seeded n x n matrices with entries -9..9, as for an n-node threefold,
+    # whose columns are scaled to plant Z/p + Z/p or Z/4 + Z/2 in the
+    # cokernel: then 1 < s = |D| / C < C, and the first elimination runs
+    # modulo s.  A plain one with a cyclic cokernel has s = 1 and runs none.
+    moduli = []
+    pivot_gcds = exact._pivot_gcds
+    monkeypatch.setattr(exact, "_pivot_gcds", lambda a, R: moduli.append(R) or pivot_gcds(a, R))
+    rng = random.Random(9004)
+    cyclic = 0
+    for n in (16, 18, 20, 22, 24):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        for planted in ((), (2, 2), (3, 3), (5, 5), (7, 7), (4, 2)):
+            scaled = [[x * d for x, d in zip(row, planted + (1,) * n)] for row in rows]
+            sm = sympy_snf(Matrix(scaled), domain=ZZ)
+            theirs = tuple(abs(int(sm[j, j])) for j in range(n))
+            moduli.clear()
+            assert invariant_factors(IntMatrix.from_rows(scaled)) == theirs
+            if planted:
+                assert moduli and moduli[0] ** 2 < prod(theirs)  # moduli[0] = s < C
+            elif prod(theirs[:-1]) == 1:
+                assert moduli == []
+                cyclic += 1
+    assert cyclic >= 2
+
+
 def test_bivariate_gcd_matches_sympy():
     # the PRS runs over Z[w] in z or, when g1 has the higher degree in z, in
     # w; either way the gcd is normalized in the orientation of the input.

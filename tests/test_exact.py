@@ -358,9 +358,26 @@ class TestCertifiedModulus:
             m = with_smith_diagonal(rng, chain, 2**64)  # past the bound from n = 2
             moduli.clear()
             assert invariant_factors(m) == snf_factors(m) == tuple(chain)
-            assert chain[-1] % moduli[0] == 0  # the candidate divides dn
-            corrected += len(moduli) == 2
+            # a right candidate C = dn needs one run, modulo C or modulo s = |D| / C;
+            # a wrong one a run modulo C and a correction, after one modulo s if s < C
+            if len(moduli) > 1:
+                assert chain[-1] % moduli[-2] == 0  # the candidate divides dn
+                assert moduli[-1] % chain[-1] == 0
+                assert len(moduli) == 2 or moduli[0] * moduli[1] == abs(m.det())
+                corrected += 1
         assert corrected >= 1
+
+    def test_a_wrong_candidate_under_the_smaller_cofactor_falls_back(self, monkeypatch, moduli):
+        # doubled probes halve C to dn / 2, as dn holds the chain's one 2; then
+        # s = |D| / C = 6 < C, but d1 ... dn-1 = 3 is not s, so the run modulo
+        # 6 is followed by the run modulo C and the correction modulo dn
+        probe_columns = exact._probe_columns
+        monkeypatch.setattr(exact, "_probe_columns",
+                            lambda n: [[2 * x, 2 * y] for x, y in probe_columns(n)])
+        chain = [1] * 6 + [3, 3 * 2 * 5 ** 20]
+        m = with_smith_diagonal(random.Random(4053), chain, 2**64)
+        assert invariant_factors(m) == snf_factors(m) == tuple(chain)
+        assert moduli == [6, chain[-1] // 2, chain[-1]]
 
     def test_small_determinants_skip_the_probes(self, monkeypatch, moduli):
         def refuse(n):

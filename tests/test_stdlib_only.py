@@ -79,6 +79,12 @@ def test_cli_import_compiles_no_source_text():
     assert generated <= sys.stdlib_module_names  # {"collections"} on Python 3.11
 
 
+def test_cli_import_loads_no_argparse():
+    # run_cli imports argparse when it parses a command line; importing the
+    # CLI, as the in-process benchmark runners do, does not pay for it
+    assert _loaded_by_cli_import("argparse") == "\n"
+
+
 def _sigalrm_uses(path: Path):
     """Lines that use ARMING, from the signal module or one bound to it."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
