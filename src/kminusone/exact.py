@@ -257,11 +257,14 @@ def _cleared(coeffs) -> list:
 
 
 def to_integer_poly(p: UniPoly) -> list:
-    """The primitive integer multiple of a rational polynomial, as its
-    coefficient list low degree first: denominators cleared, content
-    divided out, the sign of the leading coefficient kept."""
+    """The primitive integer multiple of a rational polynomial with a
+    positive leading coefficient, as its coefficient list low degree first:
+    denominators cleared, then the content, signed as the leading
+    coefficient, divided out."""
     ints = _cleared(p.coeffs)
     content = gcd(*ints)
+    if ints and ints[-1] < 0:
+        content = -content
     return [c // content for c in ints]
 
 
@@ -354,34 +357,36 @@ def coprime_certified(f: BiPoly, g: BiPoly) -> bool:
 
 def squarefree_decomposition(p: UniPoly):
     """Yun's algorithm: returns [(a_1, 1), (a_2, 2), ...] with
-    p = lc * prod a_k^k, the a_k monic, squarefree and pairwise coprime.
-    Factors with a_k constant are omitted.
+    p = c * prod a_k^k for a constant c, the a_k squarefree and pairwise
+    coprime.  Factors with a_k constant are omitted.
 
     A rational p coprime to p' by coprime_mod_prime (run on p as given) is
-    squarefree over Q: the result is [(p.monic(), 1)].  Otherwise Yun runs
-    over Z[t] on the primitive integer multiple of p, with int_gcd, and each
-    quotient by a primitive gcd is exact in Z[t] by Gauss's lemma; each a_k
-    is made monic at the end.  Over Q(alpha) the same loop runs on p.monic()
-    with the monic uni_gcd."""
+    squarefree over Q: the result is [(p, 1)], p as given.  Otherwise Yun
+    runs over Z[t] on to_integer_poly(p), with int_gcd, and each quotient by
+    a primitive gcd is exact in Z[t] by Gauss's lemma; each a_k is handed
+    back primitive in Z[t] with a positive leading coefficient, which is
+    what fields.irreducible_factors works on, so no coefficient is divided.
+    Over Q(alpha) the same loop runs on p.monic() with the monic uni_gcd,
+    and the a_k are monic."""
     if p.is_zero():
         raise InputError("squarefree decomposition of the zero polynomial")
     if p.degree <= 0:
         return []
     if coprime_mod_prime(p, p.derivative()):
-        return [(p.monic(), 1)]
+        return [(p, 1)]
     rational = all(isinstance(c, (int, Fraction)) for c in p.coeffs)
     p, poly_gcd = (UniPoly(to_integer_poly(p)), int_gcd) if rational else (p.monic(), uni_gcd)
     dp = p.derivative()
     g = poly_gcd(p, dp)
     if g.degree <= 0:
-        return [(p.monic(), 1)]
+        return [(p, 1)]
     c = p // g
     d = dp // g - c.derivative()
     out, k = [], 1
     while c.degree > 0:
         a = poly_gcd(c, d)
         if a.degree > 0:
-            out.append((a.monic(), k))
+            out.append((-a if rational and a.leading < 0 else a, k))
         c_next = c // a
         d = d // a - c_next.derivative()
         c, k = c_next, k + 1

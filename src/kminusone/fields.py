@@ -261,20 +261,25 @@ def irreducible_factors(p: UniPoly):
     """Split a squarefree rational polynomial into irreducible factors
     over Q, as far as this implementation can certify.
 
-    Returns a list of (monic factor, degree) pairs.  Degree-1 factors are
-    reported through their roots by callers; factors of degree 2..3 are
-    certified irreducible by the rational root test, 4..6 by Kronecker
-    trial factorization.  A rootless remainder of degree >= 7 raises
-    ExtensionUnsupported.
+    Returns a list of (factor, degree) pairs, each factor primitive in Z[t]
+    with a positive leading coefficient.  The work stays in Z[t]: p is taken
+    as to_integer_poly(p), which leaves such a factor of Yun's as it is, a
+    rational root n/d splits off d*t - n, a Kronecker factor is made
+    primitive, and by Gauss's lemma each quotient is primitive in Z[t].
+    Degree-1 factors are reported through their roots by callers; factors
+    of degree 2..3 are certified irreducible by the rational root test,
+    4..6 by Kronecker trial factorization.  A rootless remainder of degree
+    >= 7 raises ExtensionUnsupported.
     """
-    p = p.monic()
+    p = UniPoly(to_integer_poly(p))
     out = []
     for r in rational_roots(p):
-        out.append((UniPoly((-r, 1)), 1))
-        p = p // UniPoly((-r, 1))
+        linear = UniPoly((-r.numerator, r.denominator))
+        out.append((linear, 1))
+        p = p // linear
     stack = [p]
     while stack:
-        h = stack.pop().monic()
+        h = stack.pop()
         if h.degree <= 0:
             continue
         if h.degree <= 3:
@@ -284,10 +289,10 @@ def irreducible_factors(p: UniPoly):
         if h.degree > 6:
             raise ExtensionUnsupported(
                 f"cannot certify irreducibility in degree {h.degree}; {FACTORS_HINT}")
-        q = _kronecker_split(to_integer_poly(h))
+        q = _kronecker_split(h.coeffs)
         if q is None:
             out.append((h, h.degree))
         else:
-            stack.append(q)
-            stack.append(h // q)
+            q = UniPoly(to_integer_poly(q))
+            stack += [q, h // q]
     return out

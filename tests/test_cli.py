@@ -326,6 +326,78 @@ class TestSchemaValidation:
             assert result[:2] == (code, "") and result[2].startswith(start)
 
 
+def germ_threefold(*germs):
+    """A threefold document with one singularity entry per germ text."""
+    return {"kind": "threefold", "pic_rank": 1, "defect": 0,
+            "singularities": [{"germ": g} for g in germs]}
+
+
+class TestGermMemo:
+    """The germ texts of spec documents are classified once per process."""
+
+    @pytest.fixture(autouse=True)
+    def classify_calls(self, monkeypatch):
+        """The texts cli parses, in order, from an empty memo."""
+        texts, parse = [], cli.parse_polynomial
+        monkeypatch.setattr(cli, "parse_polynomial", lambda t: texts.append(t) or parse(t))
+        cli._classified_germ.cache_clear()
+        yield texts
+        cli._classified_germ.cache_clear()
+
+    def test_repeated_texts_are_classified_once(self, classify_calls):
+        first = parse_spec_document(germ_threefold("z*w", "z^2 - w^3", "z*w", "z*w"))
+        second = parse_spec_document(germ_threefold("z^2 - w^3", "z*w"))
+        assert classify_calls == ["z*w", "z^2 - w^3"]
+        assert cli._classified_germ.cache_info()[:2] == (4, 2)  # hits, misses
+        assert [s.br for s in first.singularities] == [2, 1, 2, 2]
+        assert second.singularities == first.singularities[1:3]
+        assert second.singularities[1] is first.singularities[0]  # one frozen record
+
+    def test_a_bad_germ_raises_at_its_own_path_in_every_document(self, classify_calls):
+        for doc, path in [(germ_threefold("z*w", "z^2"), "singularities[1].germ"),
+                          (germ_threefold("z^2"), "singularities[0].germ"),
+                          (germ_threefold("z*w", "z*w", "z^2 +"), "singularities[2].germ"),
+                          (germ_threefold("z*w", "z*w", "z^2"), "singularities[2].germ")]:
+            with pytest.raises(SpecValidationError) as info:
+                parse_spec_document(doc)
+            assert info.value.path == path
+        # a failure is never stored: each bad entry is parsed again
+        assert classify_calls == ["z*w", "z^2", "z^2", "z^2 +", "z^2"]
+
+    def test_an_unsupported_germ_keeps_exit_two_with_its_path(self, capsys, tmp_path,
+                                                              classify_calls):
+        hard = "(z^7 - 2*w^7)^2 + z^3*w^12"  # needs an uncertified extension
+        for doc, path in [(germ_threefold("z*w", hard), "singularities[1].germ"),
+                          (germ_threefold(hard), "singularities[0].germ")]:
+            code, out, err = run(capsys, "decide", write_doc(tmp_path, "doc.json", doc))
+            assert (code, out) == (2, "") and err.startswith(f"unsupported: {path}: ")
+        assert classify_calls.count(hard) == 2
+        assert cli._classified_germ.cache_info().currsize == 1
+
+    def test_entries_after_a_failure_are_answered(self, classify_calls):
+        with pytest.raises(SpecValidationError):
+            parse_spec_document(germ_threefold("z^2 - w^3", "z^2"))
+        spec = parse_spec_document(germ_threefold("z^2 - w^3", "z^3 - w^3", "z*w"))
+        assert [(s.n, s.br) for s in spec.singularities] == [(1, 1), (2, 3), (1, 2)]
+        assert classify_calls == ["z^2 - w^3", "z^2", "z^3 - w^3", "z*w"]
+
+    def test_the_memo_holds_at_most_its_size(self, classify_calls):
+        texts = [f"z*w + {i}*z^3" for i in range(cli._GERM_MEMO_SIZE + 10)]
+        parse_spec_document(germ_threefold(*texts))
+        info = cli._classified_germ.cache_info()
+        assert (info.maxsize, info.currsize) == (cli._GERM_MEMO_SIZE, cli._GERM_MEMO_SIZE)
+        parse_spec_document(germ_threefold(texts[0], texts[-1]))  # the first was evicted
+        assert classify_calls[len(texts):] == [texts[0]]
+
+    def test_a_longer_text_is_classified_and_not_stored(self, classify_calls):
+        longest = "z*w" + " + 0*w" * ((cli._GERM_MEMO_TEXT - 3) // 6)
+        longest += " " * (cli._GERM_MEMO_TEXT - len(longest))
+        longer = longest + " "
+        parse_spec_document(germ_threefold(longest, longer, longest, longer))
+        assert classify_calls == [longest, longer, longer]
+        assert cli._classified_germ.cache_info().currsize == 1
+
+
 class TestTables:
     def test_delpezzo_rows(self, capsys):
         code, out, _ = run(capsys, "table", "delpezzo")

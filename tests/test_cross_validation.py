@@ -294,6 +294,12 @@ def test_branch_counts_on_binomial_products():
         checked += 1
 
 
+def primitive_integer(a):
+    """Int coefficients of gcd 1 and a positive leading one: the form of a
+    factor Yun's algorithm hands back over Q."""
+    return all(type(c) is int for c in a.coeffs) and igcd(*a.coeffs) == 1 and a.leading > 0
+
+
 def rand_uni(rng):
     return UniPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                     for _ in range(rng.randint(2, 4))])
@@ -309,7 +315,9 @@ def test_squarefree_decomposition_matches_sympy_sqf_list():
             p = p * rand_uni(rng) ** rng.randint(1, 3)
         if p.degree < 1:
             continue
-        ours = {k: a.coeffs for a, k in squarefree_decomposition(p)}
+        ours = squarefree_decomposition(p)
+        assert ours == [(p, 1)] or all(primitive_integer(a) for a, _ in ours), p
+        ours = {k: a.monic().coeffs for a, k in ours}
         coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
         _, factors = sympy.sqf_list(Poly(coeffs, T, domain=QQ))
         theirs = {k: tuple(Fraction(int(c.p), int(c.q))

@@ -102,6 +102,14 @@ class TestIrreducibleFactors:
         with pytest.raises(ExtensionUnsupported):
             _divisors(4 * 10**12 + 1)
 
+    def test_factors_stay_primitive_integers(self):
+        # (2t - 1)(3t + 2)(t^2 - 2/3) over Q: no factor is made monic
+        p = UniPoly((-1, 2)) * UniPoly((2, 3)) * UniPoly((Fraction(-2, 3), 0, 1))
+        facs = irreducible_factors(p)
+        assert sorted((f.coeffs, d) for f, d in facs) == [
+            ((-2, 0, 3), 2), ((-1, 2), 1), ((2, 3), 1)]
+        assert all(type(c) is int for f, _ in facs for c in f.coeffs)
+
     def test_sextic_with_cubic_factors(self):
         p = U(-2, 0, 0, 1) * U(-3, 0, 0, 1)  # (t^3-2)(t^3-3)
         facs = irreducible_factors(p)

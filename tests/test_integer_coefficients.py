@@ -128,8 +128,11 @@ def test_recursion_germ_on_int_inputs(checked):
 
 
 def golden_germ_texts(monkeypatch, workdir):
-    """Every germ text the golden corpus and the demos parse."""
+    """Every germ text the golden corpus and the demos parse.  The germ memo
+    of spec documents starts empty, so no text stored by an earlier test is
+    skipped."""
     texts = []
+    cli._classified_germ.cache_clear()
 
     def record(text):
         texts.append(text)
